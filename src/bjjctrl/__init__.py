@@ -15,7 +15,6 @@ from .dynamics import (
     initial_state,
     product_phase,
     propagate,
-    rhs,
     symmetric_preparation,
 )
 from .entanglement import (
@@ -56,6 +55,6 @@ from .optimal_control import (
     shortcut_seed,
     sweep,
 )
-from .dissipation import DissipativeTrace, dissipative_trace, effective_params
+from .dissipation import DissipativeTrace, dissipative_trace
 
 __version__ = "0.1.0"

@@ -297,20 +297,20 @@ def _load_schedule(path) -> ControlSchedule:
     times, u, j = [], [], []
     try:
         with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                try:
-                    vals = [float(p) for p in parts[:3]]
-                except ValueError:
-                    continue  # header row
-                if len(vals) < 3:
-                    raise ConfigError(f"schedule rows need t,u,j columns: {line!r}")
-                times.append(vals[0]); u.append(vals[1]); j.append(vals[2])
+            lines = [ln for ln in map(str.strip, f) if ln and not ln.startswith("#")]
     except OSError as exc:
         raise ConfigError(f"cannot read schedule: {exc}")
+    for i, line in enumerate(lines):
+        parts = line.split(",")
+        try:
+            vals = [float(p) for p in parts[:3]]
+        except ValueError:
+            if i == 0:
+                continue  # header row
+            raise ConfigError(f"non-numeric schedule row: {line!r}")
+        if len(vals) < 3:
+            raise ConfigError(f"schedule rows need t,u,j columns: {line!r}")
+        times.append(vals[0]); u.append(vals[1]); j.append(vals[2])
     if not times:
         raise ConfigError("schedule file holds no samples")
     try:

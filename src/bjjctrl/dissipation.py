@@ -17,7 +17,6 @@ from .dynamics import (
     ControlSchedule,
     InitialPreparation,
     JunctionParams,
-    effective_frequency,
     initial_state,
     propagate,
     symmetric_preparation,
@@ -37,11 +36,6 @@ class DissipativeTrace:
     def analytic_lossy(self) -> np.ndarray:
         """Lossless curve carrying the exp(-kappa t) reduction."""
         return self.concurrence_lossless * np.exp(-self.kappa * self.times)
-
-
-def effective_params(params: JunctionParams) -> complex:
-    """Complex frequency omega - i*kappa/2 realising the loss model."""
-    return effective_frequency(params)
 
 
 def dissipative_trace(

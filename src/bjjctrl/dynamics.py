@@ -237,20 +237,52 @@ def initial_state(prep: InitialPreparation, mode: str = "leading_order") -> Trun
     raise ValueError(f"unknown preparation mode {mode!r}")
 
 
-def _deriv(vec, u, j, omega_eff):
-    c10, c01, c11, c20, c02 = vec[1], vec[2], vec[3], vec[4], vec[5]
-    d10 = -1j * (omega_eff * c10 - j * c01)
-    d01 = -1j * (omega_eff * c01 - j * c10)
-    d20 = -1j * (2.0 * (u + omega_eff) * c20 - SQRT2 * j * c11)
-    d11 = -1j * (2.0 * omega_eff * c11 - SQRT2 * j * (c20 + c02))
-    d02 = -1j * (2.0 * (u + omega_eff) * c02 - SQRT2 * j * c11)
-    return np.array([0.0, d10, d01, d11, d20, d02], dtype=complex)
+#: Amplitude columns of the one-quanta (c10, c01) and two-quanta
+#: (c20, c11, c02) blocks, in the order the block matrices use.
+_ONE = [1, 2]
+_TWO = [4, 3, 5]
+
+#: Steps whose RK4 matrices ``propagate`` builds at once.  Building all
+#: 10k steps of a shortcut run together lifted its peak memory from 43 to
+#: 55 MB; chunks keep the temporaries small at no measurable speed cost.
+_CHUNK = 256
 
 
-def rhs(state: TruncatedState, u: float, j: float, params: JunctionParams) -> TruncatedState:
-    """Time derivative of the amplitudes for instantaneous controls (U, J)."""
-    vec = _deriv(state.as_array(), u, j, effective_frequency(params))
-    return TruncatedState.from_array(vec)
+def _generators(u, j, omega_eff):
+    """-iH of the one- and two-quanta blocks, stacked over the sample arrays
+    ``u`` and ``j`` (of equal shape)."""
+    one = np.empty(j.shape + (2, 2), dtype=complex)
+    one[..., 0, 0] = one[..., 1, 1] = -1j * omega_eff
+    one[..., 0, 1] = one[..., 1, 0] = 1j * j
+    two = np.zeros(u.shape + (3, 3), dtype=complex)
+    two[..., 0, 0] = two[..., 2, 2] = -2j * (u + omega_eff)
+    two[..., 1, 1] = -2j * omega_eff
+    two[..., 0, 1] = two[..., 1, 0] = two[..., 1, 2] = two[..., 2, 1] = 1j * SQRT2 * j
+    return one, two
+
+
+def _rk4_steps(node, mid, h):
+    """Classical RK4 step matrices of the linear system y' = M(t) y.
+
+    ``node`` holds M at the n + 1 step boundaries and ``mid`` at the n
+    midpoints.  Step k is I + h/6 (M1 + 2 M2 P2 + 2 M2 P3 + M4 P4) with
+    P2 = I + h/2 M1, P3 = I + h/2 M2 P2 and P4 = I + h M2 P3.
+    """
+    m1, m4 = node[:-1], node[1:]
+    eye = np.eye(node.shape[-1])
+    k2 = mid @ (eye + 0.5 * h * m1)
+    k3 = mid @ (eye + 0.5 * h * k2)
+    k4 = m4 @ (eye + h * k3)
+    return eye + (h / 6.0) * (m1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _chain(mats, v):
+    """States [v, M0 v, M1 M0 v, ...] under the step matrices in order."""
+    states = [v]
+    for m in mats:
+        v = m @ v
+        states.append(v)
+    return states
 
 
 def propagate(
@@ -260,6 +292,11 @@ def propagate(
     steps: int = 10_000,
 ) -> Trajectory:
     """Fixed-step classical 4th-order (RK4) integration over the schedule.
+
+    The equations of motion are linear, so each RK4 step is a matrix
+    polynomial in the block generators at the step's ends and midpoint.
+    The step matrices are built vectorised, a chunk of steps at a time,
+    and chained onto each block's amplitudes.
 
     Parameters
     ----------
@@ -287,20 +324,21 @@ def propagate(
     omega_eff = effective_frequency(params)
 
     out = np.empty((steps + 1, 6), dtype=complex)
-    y = state.as_array()
-    out[0] = y
-    for k in range(steps):
-        k1 = _deriv(y, u_nodes[k], j_nodes[k], omega_eff)
-        k2 = _deriv(y + 0.5 * h * k1, u_mid[k], j_mid[k], omega_eff)
-        k3 = _deriv(y + 0.5 * h * k2, u_mid[k], j_mid[k], omega_eff)
-        k4 = _deriv(y + h * k3, u_nodes[k + 1], j_nodes[k + 1], omega_eff)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y.view(float))):
+    out[0] = state.as_array()
+    out[:, 0] = state.c00
+    for lo in range(0, steps, _CHUNK):
+        hi = min(lo + _CHUNK, steps)
+        nodes = _generators(u_nodes[lo:hi + 1], j_nodes[lo:hi + 1], omega_eff)
+        mids = _generators(u_mid[lo:hi], j_mid[lo:hi], omega_eff)
+        for cols, node, mid in zip((_ONE, _TWO), nodes, mids):
+            out[lo + 1:hi + 1, cols] = _chain(_rk4_steps(node, mid, h), out[lo, cols])[1:]
+        bad = ~np.all(np.isfinite(out[lo + 1:hi + 1]), axis=1)
+        if bad.any():
+            k = lo + 1 + int(np.argmax(bad))
             raise FloatingPointError(
-                f"state became non-finite at t = {tgrid[k + 1]:.6g} "
-                f"(step {k + 1}/{steps}); reduce the step size or the controls"
+                f"state became non-finite at t = {tgrid[k]:.6g} "
+                f"(step {k}/{steps}); reduce the step size or the controls"
             )
-        out[k + 1] = y
     return Trajectory(times=tgrid, amplitudes=out)
 
 

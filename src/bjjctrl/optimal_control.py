@@ -24,6 +24,7 @@ from .dynamics import (
     _one_quantum_propagator,
     _two_quanta_propagator,
     _Q_SYM,
+    _chain,
     effective_frequency,
     initial_state,
     symmetric_preparation,
@@ -84,22 +85,17 @@ def _prep_blocks(prep: InitialPreparation, params: JunctionParams):
     return y0, z0, prep.alpha_sq, effective_frequency(params)
 
 
-def _final_blocks(uu, jj, duration, y0, z0, omega_eff):
-    n = uu.size
-    dt = duration / n
+def _segment_states(uu, jj, duration, y0, z0, omega_eff):
+    """Segment propagators of both blocks and the block states they chain."""
+    dt = duration / uu.size
     a = _one_quantum_propagator(jj, omega_eff, dt)
     b = _two_quanta_propagator(uu, jj, omega_eff, dt)
-    y = y0
-    z = z0
-    for k in range(n):
-        y = a[k] @ y
-        z = b[k] @ z
-    return y, z
+    return a, b, _chain(a, y0), _chain(b, z0)
 
 
 def _objective_value(uu, jj, duration, y0, z0, alpha_sq, omega_eff) -> float:
-    y, z = _final_blocks(uu, jj, duration, y0, z0, omega_eff)
-    w = z[1] - y[0] * y[1]
+    _, _, ys, zs = _segment_states(uu, jj, duration, y0, z0, omega_eff)
+    w = zs[-1][1] - ys[-1][0] * ys[-1][1]
     return 2.0 * abs(w) / alpha_sq
 
 
@@ -199,15 +195,7 @@ def _segment_grads(uu, jj, omega_eff, dt):
 def _objective_and_gradient(uu, jj, duration, y0, z0, alpha_sq, omega_eff):
     n = uu.size
     dt = duration / n
-    a = _one_quantum_propagator(jj, omega_eff, dt)
-    b = _two_quanta_propagator(uu, jj, omega_eff, dt)
-    ys = np.empty((n + 1, 2), dtype=complex)
-    zs = np.empty((n + 1, 3), dtype=complex)
-    ys[0] = y0
-    zs[0] = z0
-    for k in range(n):
-        ys[k + 1] = a[k] @ ys[k]
-        zs[k + 1] = b[k] @ zs[k]
+    a, b, ys, zs = _segment_states(uu, jj, duration, y0, z0, omega_eff)
     w = zs[n][1] - ys[n][0] * ys[n][1]
     value = 2.0 * abs(w) / alpha_sq
     gu = np.zeros(n)
@@ -230,42 +218,15 @@ def objective_gradient(
     controls: ControlVector,
     prep: InitialPreparation | None = None,
     params: JunctionParams | None = None,
-    method: str = "exact",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the objective w.r.t. (u, j).
-
-    ``exact`` differentiates the segment propagators analytically;
-    ``fd`` uses central differences with a 1e-6 relative step.
-    """
+    """Gradient of the objective w.r.t. (u, j), from the analytically
+    differentiated segment propagators."""
     prep = prep if prep is not None else symmetric_preparation(0.1)
     params = params if params is not None else JunctionParams()
     y0, z0, alpha_sq, omega_eff = _prep_blocks(prep, params)
-    uu = controls.u.copy()
-    jj = controls.j.copy()
-    if method == "exact":
-        _, gu, gj = _objective_and_gradient(
-            uu, jj, controls.duration, y0, z0, alpha_sq, omega_eff
-        )
-        return gu, gj
-    if method != "fd":
-        raise ValueError(f"unknown gradient method {method!r}")
-
-    def value(u_arr, j_arr):
-        return _objective_value(u_arr, j_arr, controls.duration, y0, z0, alpha_sq, omega_eff)
-
-    gu = np.zeros_like(uu)
-    gj = np.zeros_like(jj)
-    for k in range(uu.size):
-        hk = 1e-6 * (1.0 + abs(uu[k]))
-        up, dn = uu.copy(), uu.copy()
-        up[k] += hk
-        dn[k] -= hk
-        gu[k] = (value(up, jj) - value(dn, jj)) / (2.0 * hk)
-        hk = 1e-6 * (1.0 + abs(jj[k]))
-        up, dn = jj.copy(), jj.copy()
-        up[k] += hk
-        dn[k] -= hk
-        gj[k] = (value(uu, up) - value(uu, dn)) / (2.0 * hk)
+    _, gu, gj = _objective_and_gradient(
+        controls.u, controls.j, controls.duration, y0, z0, alpha_sq, omega_eff
+    )
     return gu, gj
 
 
@@ -493,8 +454,11 @@ def sweep(
     cross-checked by direct lossy propagation at three grid points.
     """
     durations = np.asarray(durations, dtype=float)
-    if durations.size == 0 or len(list(kappa_list)) == 0:
+    kappa_list = list(kappa_list)
+    if durations.size == 0 or not kappa_list:
         raise ValueError("duration grid and kappa list must be non-empty")
+    if any(kappa < 0.0 for kappa in kappa_list):
+        raise ValueError("loss rates must be >= 0")
     params = params if params is not None else JunctionParams()
     if params.kappa != 0.0:
         raise ValueError("pass loss rates through kappa_list")
@@ -518,8 +482,6 @@ def sweep(
     check_idx = sorted({0, durations.size // 2, durations.size - 1})
     curves = []
     for kappa in kappa_list:
-        if kappa < 0.0:
-            raise ValueError("loss rates must be >= 0")
         scaled = base * np.exp(-kappa * durations)
         for i in check_idx:
             direct = objective(

@@ -314,15 +314,7 @@ def counterdiabatic_controls(
     s = np.linspace(0.0, 1.0, samples)
     u, j = _controls_on(profile, duration, s)
     schedule = ControlSchedule(times=s * duration, u=u, j=j)
-    theta, zeta, xi_minus = _transfer_phases(profile, duration)
-    record = GaugePhaseRecord(
-        times=s * duration,
-        gauge_angle=_gauge_angle(profile, duration, s),
-        theta=theta,
-        zeta=zeta,
-        xi_minus=xi_minus,
-    )
-    return schedule, record
+    return schedule, phases(profile, duration, schedule)
 
 
 def duration_lhs(

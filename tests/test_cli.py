@@ -118,6 +118,14 @@ def test_simulate_rejects_missing_file(tmp_path):
     assert code == 2
 
 
+def test_simulate_rejects_non_numeric_row(tmp_path):
+    sched_file = tmp_path / "bad.csv"
+    sched_file.write_text("t,u,j\n0,0.5,0.1\n1,oops,0.1\n2,0.5,0.1\n3,0.5,0.1\n")
+    code, out, err = run_cli("simulate", "--schedule", str(sched_file))
+    assert code == 2
+    assert "oops" in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # optimization commands
 

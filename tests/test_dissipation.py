@@ -6,21 +6,21 @@ import pytest
 from bjjctrl import (
     JunctionParams,
     dissipative_trace,
-    effective_params,
     evolve_constant,
     initial_state,
     propagate,
     symmetric_preparation,
 )
+from bjjctrl.dynamics import effective_frequency
 
 
 def test_effective_params_identity_without_loss():
-    assert effective_params(JunctionParams(0.7, 0.0)) == 0.7 + 0.0j
+    assert effective_frequency(JunctionParams(0.7, 0.0)) == 0.7 + 0.0j
 
 
 def test_effective_params_substitution():
-    assert effective_params(JunctionParams(0.0, 0.1)) == -0.05j
-    assert effective_params(JunctionParams(0.4, 0.2)) == 0.4 - 0.1j
+    assert effective_frequency(JunctionParams(0.0, 0.1)) == -0.05j
+    assert effective_frequency(JunctionParams(0.4, 0.2)) == 0.4 - 0.1j
 
 
 def test_one_quantum_amplitudes_decay_at_half_rate():

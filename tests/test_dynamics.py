@@ -14,7 +14,6 @@ from bjjctrl import (
     initial_state,
     product_phase,
     propagate,
-    rhs,
     symmetric_preparation,
 )
 
@@ -66,6 +65,27 @@ def coherent_amplitudes(a1, a2):
         "c20": g * a1**2 / math.sqrt(2),
         "c02": g * a2**2 / math.sqrt(2),
     }
+
+
+def rk4_oracle(state, schedule, omega, kappa, steps):
+    """Textbook RK4 over ``rhs_oracle``, one step at a time."""
+    h = schedule.duration / steps
+    t = np.linspace(0.0, schedule.duration, steps + 1)
+
+    def f(tk, vec):
+        u, j = schedule.controls_at(tk)
+        return rhs_oracle(vec, u, j, omega, kappa)
+
+    y = state.as_array()
+    out = [y]
+    for k in range(steps):
+        k1 = f(t[k], y)
+        k2 = f(t[k] + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t[k] + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t[k + 1], y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
 
 
 def smooth_schedule(duration, phase=0.0, samples=2001):
@@ -125,44 +145,6 @@ def test_weak_pumping_cap_rejected():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="mode"):
         initial_state(symmetric_preparation(0.1), mode="bogus")
-
-
-# ---------------------------------------------------------------------------
-# rhs
-
-def test_rhs_zero_everything():
-    state = initial_state(symmetric_preparation(0.1))
-    deriv = rhs(state, 0.0, 0.0, JunctionParams(omega=0.0, kappa=0.0))
-    assert np.allclose(deriv.as_array(), 0.0)
-
-
-def test_rhs_single_two_quanta_amplitude():
-    state = TruncatedState(c11=1.0)
-    deriv = rhs(state, 0.0, 1.0, JunctionParams())
-    assert deriv.c20 == pytest.approx(1j * SQRT2, abs=1e-15)
-    assert deriv.c02 == pytest.approx(1j * SQRT2, abs=1e-15)
-    assert deriv.c11 == 0.0
-    assert deriv.c10 == deriv.c01 == deriv.c00 == 0.0
-
-
-def test_rhs_loss_rates():
-    state = TruncatedState(c10=1.0, c11=1.0)
-    deriv = rhs(state, 0.0, 0.0, JunctionParams(omega=0.0, kappa=0.3))
-    assert deriv.c10 == pytest.approx(-0.15, abs=1e-15)
-    assert deriv.c11 == pytest.approx(-0.3, abs=1e-15)
-
-
-def test_rhs_matches_rowwise_oracle(rng):
-    for _ in range(25):
-        vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-        u, j = rng.uniform(0, 1.5, 2)
-        omega = rng.uniform(-1, 1)
-        kappa = rng.uniform(0, 0.3)
-        got = rhs(
-            TruncatedState.from_array(vec), u, j, JunctionParams(omega, kappa)
-        ).as_array()
-        want = rhs_oracle(vec, u, j, omega, kappa)
-        assert np.max(np.abs(got - want)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +225,19 @@ def test_propagate_random_constant_instances(rng):
         want = evolve_constant(state, u, j, params, duration)
         worst = max(worst, np.max(np.abs(traj.final.as_array() - want.as_array())))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.1])
+def test_propagate_matches_stepwise_rk4_oracle(rng, kappa):
+    # time-dependent controls make each step's node and midpoint
+    # generators differ; 300 steps span more than one chunk of propagate
+    for phase in (0.0, 1.3):
+        vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+        state = TruncatedState.from_array(vec / np.linalg.norm(vec))
+        schedule = smooth_schedule(6.0, phase=phase, samples=37)
+        traj = propagate(state, schedule, JunctionParams(0.2, kappa), steps=300)
+        want = rk4_oracle(state, schedule, 0.2, kappa, 300)
+        assert np.max(np.abs(traj.amplitudes - want)) < 1e-12
 
 
 def test_propagate_aborts_on_blowup():

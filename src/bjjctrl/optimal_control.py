@@ -5,7 +5,8 @@ propagates the truncated state with exact per-segment matrix exponentials
 (no integrator error inside the optimisation loop).  Maximisation uses
 projected gradient ascent with Armijo backtracking and analytic gradients
 obtained by differentiating the segment propagators; multistart plus a
-shortcut-informed seed guards against local optima.  A bisection on the
+shortcut-informed seed guards against local optima, and all starts ascend
+together as one batch.  A bisection on the
 feasibility predicate locates the minimum duration that reaches the
 concurrence ceiling 1 + sqrt(2).
 """
@@ -86,17 +87,47 @@ def _prep_blocks(prep: InitialPreparation, params: JunctionParams):
 
 
 def _segment_states(uu, jj, duration, y0, z0, omega_eff):
-    """Segment propagators of both blocks and the block states they chain."""
-    dt = duration / uu.size
-    a = _one_quantum_propagator(jj, omega_eff, dt)
-    b = _two_quanta_propagator(uu, jj, omega_eff, dt)
-    return a, b, _chain(a, y0), _chain(b, z0)
+    """Segment propagators of both blocks and the block states they chain.
+
+    ``uu`` and ``jj`` hold one row of controls per start, shape
+    (starts, segments).  The propagators come back segment-major,
+    (segments, starts, n, n), so that one stacked product per segment
+    advances every start; the states are (starts, n, 1) columns, the
+    initial ones first.
+    """
+    starts, n = uu.shape
+    dt = duration / n
+    u_seg = np.ascontiguousarray(uu.T)
+    j_seg = np.ascontiguousarray(jj.T)
+    a = _one_quantum_propagator(j_seg, omega_eff, dt)
+    b = _two_quanta_propagator(u_seg, j_seg, omega_eff, dt)
+    y = np.repeat(y0[None, :, None], starts, axis=0)
+    z = np.repeat(z0[None, :, None], starts, axis=0)
+    return a, b, _chain(a, y), _chain(b, z)
 
 
-def _objective_value(uu, jj, duration, y0, z0, alpha_sq, omega_eff) -> float:
+def _final_overlap(ys, zs):
+    """Real and imaginary parts of w = c11 - c10 c01 at T, one per start.
+
+    The complex product is written out in real arithmetic, which rounds
+    like numpy's scalar complex product; the vectorised one fuses
+    multiply-adds and would move every iterate of the ascent.
+    """
+    y10, y01 = ys[-1][:, 0, 0], ys[-1][:, 1, 0]
+    z11 = zs[-1][:, 1, 0]
+    w_re = z11.real - (y10.real * y01.real - y10.imag * y01.imag)
+    w_im = z11.imag - (y10.real * y01.imag + y10.imag * y01.real)
+    return w_re, w_im
+
+
+def _objective_value(uu, jj, duration, y0, z0, alpha_sq, omega_eff):
+    """C(T)/alpha^2 of each row of controls, shape (starts, segments).
+
+    |w| is taken with hypot, which rounds like the scalar complex modulus
+    (np.abs on a complex array does not).
+    """
     _, _, ys, zs = _segment_states(uu, jj, duration, y0, z0, omega_eff)
-    w = zs[-1][1] - ys[-1][0] * ys[-1][1]
-    return 2.0 * abs(w) / alpha_sq
+    return 2.0 * np.hypot(*_final_overlap(ys, zs)) / alpha_sq
 
 
 def objective(
@@ -118,7 +149,9 @@ def objective(
     prep = prep if prep is not None else symmetric_preparation(0.1)
     params = params if params is not None else JunctionParams()
     y0, z0, alpha_sq, omega_eff = _prep_blocks(prep, params)
-    return _objective_value(controls.u, controls.j, controls.duration, y0, z0, alpha_sq, omega_eff)
+    return _objective_value(
+        controls.u[None], controls.j[None], controls.duration, y0, z0, alpha_sq, omega_eff
+    )[0]
 
 
 def _h_div(y):
@@ -138,20 +171,21 @@ def _segment_grads(uu, jj, omega_eff, dt):
 
     Differentiates the closed forms used by the propagator builders; the
     sin(y)/y style factors keep everything regular at zero controls.
-    Returns (dA/dj, dB/du, dB/dj) with leading segment axis.
+    Takes controls of shape (starts, segments) and returns (dA/dj, dB/du,
+    dB/dj) segment-major, like the propagators of ``_segment_states``.
     """
-    uu = np.asarray(uu, dtype=float)
-    jj = np.asarray(jj, dtype=float)
-    n = uu.size
+    uu = np.ascontiguousarray(uu.T)
+    jj = np.ascontiguousarray(jj.T)
+    shape = uu.shape
 
     # one-quantum block: only the coupling enters
     c = np.cos(jj * dt)
     s = np.sin(jj * dt)
-    da_j = np.empty((n, 2, 2), dtype=complex)
-    da_j[:, 0, 0] = -s
-    da_j[:, 1, 1] = -s
-    da_j[:, 0, 1] = 1j * c
-    da_j[:, 1, 0] = 1j * c
+    da_j = np.empty(shape + (2, 2), dtype=complex)
+    da_j[..., 0, 0] = -s
+    da_j[..., 1, 1] = -s
+    da_j[..., 0, 1] = 1j * c
+    da_j[..., 1, 0] = 1j * c
     da_j *= dt * np.exp(-1j * omega_eff * dt)
 
     # two-quanta block in the symmetric/antisymmetric basis
@@ -176,41 +210,67 @@ def _segment_grads(uu, jj, omega_eff, dt):
     dg01_j = 2j * (4.0 * dt**3 * h * jj * jj + big_s)
     dg11_j = -4.0 * dt**2 * jj * sc + 4j * dt**3 * h * uu * jj
 
-    db_u = np.zeros((n, 3, 3), dtype=complex)
-    db_u[:, 0, 0] = -1j * dt * q * g00 + q * dg00_u
-    db_u[:, 0, 1] = -1j * dt * q * g01 + q * dg01_u
-    db_u[:, 1, 0] = db_u[:, 0, 1]
-    db_u[:, 1, 1] = -1j * dt * q * g11 + q * dg11_u
-    db_u[:, 2, 2] = -2j * dt * pa
+    db_u = np.zeros(shape + (3, 3), dtype=complex)
+    db_u[..., 0, 0] = -1j * dt * q * g00 + q * dg00_u
+    db_u[..., 0, 1] = -1j * dt * q * g01 + q * dg01_u
+    db_u[..., 1, 0] = db_u[..., 0, 1]
+    db_u[..., 1, 1] = -1j * dt * q * g11 + q * dg11_u
+    db_u[..., 2, 2] = -2j * dt * pa
 
-    db_j = np.zeros((n, 3, 3), dtype=complex)
-    db_j[:, 0, 0] = q * dg00_j
-    db_j[:, 0, 1] = q * dg01_j
-    db_j[:, 1, 0] = db_j[:, 0, 1]
-    db_j[:, 1, 1] = q * dg11_j
+    db_j = np.zeros(shape + (3, 3), dtype=complex)
+    db_j[..., 0, 0] = q * dg00_j
+    db_j[..., 0, 1] = q * dg01_j
+    db_j[..., 1, 0] = db_j[..., 0, 1]
+    db_j[..., 1, 1] = q * dg11_j
 
     return da_j, _Q_SYM @ db_u @ _Q_SYM, _Q_SYM @ db_j @ _Q_SYM
 
 
 def _objective_and_gradient(uu, jj, duration, y0, z0, alpha_sq, omega_eff):
-    n = uu.size
-    dt = duration / n
+    """Objective and its (u, j) gradient for each row of controls.
+
+    Adjoint method: after the forward chain, only the costate recursion
+    runs segment by segment; the contractions with the propagator
+    derivatives then cover every segment and start at once.  A start with
+    w = 0 has no ascent direction and gets a zero gradient.
+    """
+    starts, n = uu.shape
     a, b, ys, zs = _segment_states(uu, jj, duration, y0, z0, omega_eff)
-    w = zs[n][1] - ys[n][0] * ys[n][1]
-    value = 2.0 * abs(w) / alpha_sq
-    gu = np.zeros(n)
-    gj = np.zeros(n)
-    if abs(w) == 0.0:
+    w_re, w_im = _final_overlap(ys, zs)
+    modulus = np.hypot(w_re, w_im)
+    value = 2.0 * modulus / alpha_sq
+    gu = np.zeros((starts, n))
+    gj = np.zeros((starts, n))
+    live = np.flatnonzero(modulus)
+    if live.size == 0:
         return value, gu, gj
-    pref = (2.0 / alpha_sq) * (w.conjugate() / abs(w))
-    da_j, db_u, db_j = _segment_grads(uu, jj, omega_eff, dt)
-    ay = np.array([-ys[n][1], -ys[n][0]])  # d w / d y_final (row)
-    az = np.array([0.0, 1.0, 0.0], dtype=complex)  # d w / d z_final (row)
-    for k in range(n - 1, -1, -1):
-        gu[k] = (pref * (az @ (db_u[k] @ zs[k]))).real
-        gj[k] = (pref * (az @ (db_j[k] @ zs[k]) + ay @ (da_j[k] @ ys[k]))).real
-        az = az @ b[k]
-        ay = ay @ a[k]
+    if live.size < starts:
+        uu, jj, a, b = uu[live], jj[live], a[:, live], b[:, live]
+        ys = [y[live] for y in ys]
+        zs = [z[live] for z in zs]
+    w_conj = np.empty(live.size, dtype=complex)
+    w_conj.real = w_re[live]
+    w_conj.imag = -w_im[live]
+    pref = (2.0 / alpha_sq) * (w_conj / modulus[live])
+
+    # costates d w / d(state after segment k), as rows; az_k[k] and ay_k[k]
+    # multiply the derivative of segment k's propagator
+    az_k = np.zeros((n, live.size, 1, 3), dtype=complex)
+    ay_k = np.empty((n, live.size, 1, 2), dtype=complex)
+    az_k[-1, :, 0, 1] = 1.0
+    ay_k[-1, :, 0, 0] = -ys[-1][:, 1, 0]
+    ay_k[-1, :, 0, 1] = -ys[-1][:, 0, 0]
+    for k in range(n - 1, 0, -1):
+        np.matmul(az_k[k], b[k], out=az_k[k - 1])
+        np.matmul(ay_k[k], a[k], out=ay_k[k - 1])
+
+    da_j, db_u, db_j = _segment_grads(uu, jj, omega_eff, duration / n)
+    z_in = np.stack(zs[:-1])
+    t_u = (az_k @ (db_u @ z_in))[..., 0, 0]
+    t_j = (az_k @ (db_j @ z_in) + ay_k @ (da_j @ np.stack(ys[:-1])))[..., 0, 0]
+    # Re(pref * t), in real arithmetic for the reason given in _final_overlap
+    gu[live] = (pref.real * t_u.real - pref.imag * t_u.imag).T
+    gj[live] = (pref.real * t_j.real - pref.imag * t_j.imag).T
     return value, gu, gj
 
 
@@ -225,9 +285,9 @@ def objective_gradient(
     params = params if params is not None else JunctionParams()
     y0, z0, alpha_sq, omega_eff = _prep_blocks(prep, params)
     _, gu, gj = _objective_and_gradient(
-        controls.u, controls.j, controls.duration, y0, z0, alpha_sq, omega_eff
+        controls.u[None], controls.j[None], controls.duration, y0, z0, alpha_sq, omega_eff
     )
-    return gu, gj
+    return gu[0], gj[0]
 
 
 def project(u, j, bounds):
@@ -237,42 +297,87 @@ def project(u, j, bounds):
 
 
 def _ascend(u0, j0, duration, bounds, y0, z0, alpha_sq, omega_eff, max_iter):
-    """Projected gradient ascent with Armijo backtracking from one start."""
+    """Projected gradient ascent with Armijo backtracking, all starts at once.
+
+    Row i of ``u0`` and ``j0`` (shape (starts, segments)) is one start.
+    Every start keeps its own step length, backtracking, flat-window
+    history and stop reason, so it takes the same iterates as it would
+    alone; a start leaves the batch once it stops.  Returns per start the
+    controls, the objective, the iteration count and the stop reason:
+    "projected_gradient", "no_ascent_step" (the line search found no
+    ascent at its resolution), "flat" or "max_iter" (not converged).
+    """
     u, j = project(np.asarray(u0, float), np.asarray(j0, float), bounds)
     value, gu, gj = _objective_and_gradient(u, j, duration, y0, z0, alpha_sq, omega_eff)
-    step = 1.0
-    history = [value]
-    converged = False
-    it = 0
+    starts = value.size
+    step = np.ones(starts)
+    # each start's last _FLAT_WINDOW + 1 objectives; iteration i in column
+    # i % (_FLAT_WINDOW + 1)
+    history = np.empty((starts, _FLAT_WINDOW + 1))
+    history[:, 0] = value
+    iterations = np.full(starts, max_iter)
+    stop = ["max_iter"] * starts
+    active = np.arange(starts)
+
+    def finish(rows, it, reason):
+        iterations[rows] = it
+        for row in rows:
+            stop[row] = reason
+
     for it in range(1, max_iter + 1):
-        pu, pj = project(u + gu, j + gj, bounds)
-        pg_norm = math.sqrt(np.sum((pu - u) ** 2) + np.sum((pj - j) ** 2))
-        if pg_norm <= _PG_TOL:
-            converged = True
+        if active.size == 0:
             break
-        accepted = False
-        s = step
+        ua, ja, ga, ha = u[active], j[active], gu[active], gj[active]
+        pu, pj = project(ua + ga, ja + ha, bounds)
+        pg_norm = np.sqrt(np.sum((pu - ua) ** 2, axis=1) + np.sum((pj - ja) ** 2, axis=1))
+        done = pg_norm <= _PG_TOL
+        finish(active[done], it, "projected_gradient")
+        keep = ~done
+        active, ua, ja, ga, ha = active[keep], ua[keep], ja[keep], ga[keep], ha[keep]
+        va = value[active]
+
+        # backtracking in lock step: a start leaves the search once it accepts
+        s = step[active]
+        accepted = np.zeros(active.size, dtype=bool)
+        cu = np.empty_like(ua)
+        cj = np.empty_like(ja)
+        search = np.arange(active.size)
         for _ in range(60):
-            cu, cj = project(u + s * gu, j + s * gj, bounds)
-            cand = _objective_value(cu, cj, duration, y0, z0, alpha_sq, omega_eff)
-            gain = np.sum(gu * (cu - u)) + np.sum(gj * (cj - j))
-            if cand >= value + _ARMIJO_C1 * gain and cand > value:
-                accepted = True
+            if search.size == 0:
                 break
-            s *= 0.5
-        if not accepted:
-            converged = True  # no ascent direction left at line-search resolution
+            tu, tj = project(
+                ua[search] + s[search, None] * ga[search],
+                ja[search] + s[search, None] * ha[search],
+                bounds,
+            )
+            cand = _objective_value(tu, tj, duration, y0, z0, alpha_sq, omega_eff)
+            gain = np.sum(ga[search] * (tu - ua[search]), axis=1) + np.sum(
+                ha[search] * (tj - ja[search]), axis=1
+            )
+            ok = (cand >= va[search] + _ARMIJO_C1 * gain) & (cand > va[search])
+            hit = search[ok]
+            accepted[hit] = True
+            cu[hit], cj[hit] = tu[ok], tj[ok]
+            search = search[~ok]
+            s[search] *= 0.5
+        finish(active[~accepted], it, "no_ascent_step")
+        active, cu, cj, s = active[accepted], cu[accepted], cj[accepted], s[accepted]
+        if active.size == 0:
             break
-        u, j = cu, cj
-        value, gu, gj = _objective_and_gradient(u, j, duration, y0, z0, alpha_sq, omega_eff)
-        step = min(2.0 * s, 1e3)
-        history.append(value)
-        if len(history) > _FLAT_WINDOW:
-            old = history[-_FLAT_WINDOW - 1]
-            if abs(value - old) <= _FLAT_TOL * max(1.0, abs(value)):
-                converged = True
-                break
-    return u, j, value, it, converged
+
+        u[active], j[active] = cu, cj
+        value[active], gu[active], gj[active] = _objective_and_gradient(
+            cu, cj, duration, y0, z0, alpha_sq, omega_eff
+        )
+        step[active] = np.minimum(2.0 * s, 1e3)
+        history[active, it % (_FLAT_WINDOW + 1)] = value[active]
+        if it >= _FLAT_WINDOW:
+            va = value[active]
+            old = history[active, (it + 1) % (_FLAT_WINDOW + 1)]  # iteration it - window
+            flat = np.abs(va - old) <= _FLAT_TOL * np.maximum(1.0, np.abs(va))
+            finish(active[flat], it, "flat")
+            active = active[~flat]
+    return u, j, value, iterations, stop
 
 
 def shortcut_seed(
@@ -305,59 +410,63 @@ def maximize(
 
     Runs ``seeds`` random starts (uniform in the box, seeded from
     ``base_seed``) plus one fast-shortcut-informed start plus any
-    ``extra_starts``, each ascending with projected gradients, and
-    returns the best.  Identical inputs give identical results.
+    ``extra_starts`` (each with ``segments`` segments), all ascending
+    together with projected gradients, and returns the best; ties go to
+    the earlier start.  Identical inputs give identical results.
     """
     if duration < 0.0:
         raise ValueError("duration must be >= 0")
     if segments < 1:
         raise ValueError("need at least one segment")
+    if seeds < 0:
+        raise ValueError("seeds must be >= 0")
+    if any(cv.segments != segments for cv in extra_starts):
+        raise ValueError(f"extra starts must have {segments} segments")
     params = params if params is not None else JunctionParams()
     prep = prep if prep is not None else symmetric_preparation(0.1)
     y0, z0, alpha_sq, omega_eff = _prep_blocks(prep, params)
 
-    starts: list[tuple[int, np.ndarray, np.ndarray]] = []
-    u_max, j_max = bounds
-    for i in range(seeds):
-        rng = np.random.default_rng(base_seed + i)
-        starts.append(
-            (i, rng.uniform(0.0, u_max, segments), rng.uniform(0.0, j_max, segments))
-        )
-    if duration > 0.0:
-        seed_cv = shortcut_seed(duration, segments, bounds)
-        starts.append((-1, seed_cv.u, seed_cv.j))
-    for offset, cv in enumerate(extra_starts):
-        starts.append((-2 - offset, cv.u.copy(), cv.j.copy()))
-
-    if duration == 0.0 or not starts:
-        zero = ControlVector(np.zeros(segments), np.zeros(segments), duration)
+    if duration == 0.0:
+        zero = np.zeros((1, segments))
         return OptimizationResult(
-            best=zero,
-            objective=_objective_value(zero.u, zero.j, duration, y0, z0, alpha_sq, omega_eff),
+            best=ControlVector(zero[0], zero[0], duration),
+            objective=_objective_value(zero, zero, duration, y0, z0, alpha_sq, omega_eff)[0],
             iterations=0,
             converged=True,
             seed=-1,
         )
 
-    best = None
-    improved = False
-    for label, u0, j0 in starts:
-        u0c, j0c = project(u0, j0, bounds)
-        f0 = _objective_value(u0c, j0c, duration, y0, z0, alpha_sq, omega_eff)
-        u, j, value, iters, conv = _ascend(
-            u0, j0, duration, bounds, y0, z0, alpha_sq, omega_eff, max_iter
-        )
-        if value > f0 + 1e-15:
-            improved = True
-        if best is None or value > best[1]:
-            best = ((u, j), value, iters, conv, label)
-    (u, j), value, iters, conv, label = best
+    labels = list(range(seeds))
+    u0 = []
+    j0 = []
+    u_max, j_max = bounds
+    for i in labels:
+        rng = np.random.default_rng(base_seed + i)
+        u0.append(rng.uniform(0.0, u_max, segments))
+        j0.append(rng.uniform(0.0, j_max, segments))
+    seed_cv = shortcut_seed(duration, segments, bounds)
+    extra = [seed_cv, *extra_starts]
+    labels += [-1 - offset for offset in range(len(extra))]
+    u0 += [cv.u for cv in extra]
+    j0 += [cv.j for cv in extra]
+    u0 = np.array(u0)
+    j0 = np.array(j0)
+
+    f0 = _objective_value(*project(u0, j0, bounds), duration, y0, z0, alpha_sq, omega_eff)
+    u, j, value, iterations, stop = _ascend(
+        u0, j0, duration, bounds, y0, z0, alpha_sq, omega_eff, max_iter
+    )
+    improved = bool(np.any(value > f0 + 1e-15))
+    best = 0
+    for row in range(1, len(labels)):
+        if value[row] > value[best]:
+            best = row
     return OptimizationResult(
-        best=ControlVector(u=u, j=j, duration=duration),
-        objective=value,
-        iterations=iters,
-        converged=bool(conv and improved),
-        seed=label,
+        best=ControlVector(u=u[best], j=j[best], duration=duration),
+        objective=value[best],
+        iterations=int(iterations[best]),
+        converged=stop[best] != "max_iter" and improved,
+        seed=labels[best],
     )
 
 

@@ -143,6 +143,12 @@ def test_optimize_at_t7(tmp_path):
     assert rows[:, 3].max() <= 0.25 + 1e-9
 
 
+def test_optimize_rejects_negative_seeds():
+    code, out, err = run_cli("optimize", "--T", "3", "--seeds", "-1")
+    assert code == 2
+    assert "seeds" in err and out == ""
+
+
 def test_mintime_window():
     code, out, _ = run_cli("mintime", "--seeds", "6")
     assert code == 0

@@ -107,6 +107,28 @@ def test_exact_gradient_matches_central_differences(rng):
         assert np.linalg.norm(ge - gf) <= 1e-4 * max(np.linalg.norm(gf), 1e-12)
 
 
+def test_gradient_batch_rows_are_independent(rng):
+    """A zero row (w = 0) beside random rows: zero gradient without a
+    floating-point warning, and every row as if computed alone."""
+    y0, z0, alpha_sq, omega_eff = optimal_control._prep_blocks(
+        symmetric_preparation(0.1), JunctionParams()
+    )
+    uu = np.vstack([np.zeros(12), rng.uniform(0.0, BOUNDS[0], (3, 12))])
+    jj = np.vstack([np.zeros(12), rng.uniform(0.0, BOUNDS[1], (3, 12))])
+    args = (4.0, y0, z0, alpha_sq, omega_eff)
+    with np.errstate(all="raise"):
+        value, gu, gj = optimal_control._objective_and_gradient(uu, jj, *args)
+        assert value[0] == 0.0
+        assert not gu[0].any() and not gj[0].any()
+        for row in range(1, 4):
+            alone = optimal_control._objective_and_gradient(
+                uu[row:row + 1], jj[row:row + 1], *args
+            )
+            assert value[row] == alone[0][0]
+            assert np.array_equal(gu[row], alone[1][0])
+            assert np.array_equal(gj[row], alone[2][0])
+
+
 def test_projection_idempotent_inside_box(rng):
     u = rng.uniform(0.0, BOUNDS[0], 40)
     j = rng.uniform(0.0, BOUNDS[1], 40)
@@ -142,6 +164,54 @@ def test_maximize_is_reproducible():
     assert a.seed == b.seed
     assert np.array_equal(a.best.u, b.best.u)
     assert np.array_equal(a.best.j, b.best.j)
+
+
+def test_batched_ascent_matches_single_starts():
+    """Each start of a batch ascends exactly as it does alone, whatever
+    its batch mates do; the two durations cover every stop reason."""
+    y0, z0, alpha_sq, omega_eff = optimal_control._prep_blocks(
+        symmetric_preparation(0.1), JunctionParams()
+    )
+    uu = [np.zeros(6)]
+    jj = [np.zeros(6)]
+    for seed in range(3):
+        draw = np.random.default_rng(seed)
+        uu.append(draw.uniform(0.0, BOUNDS[0], 6))
+        jj.append(draw.uniform(0.0, BOUNDS[1], 6))
+    uu, jj = np.array(uu), np.array(jj)
+    reasons = set()
+    # at T = 1e12 the objective oscillates on a scale far below the line
+    # search's smallest trial step, so no Armijo step exists
+    for duration, max_iter in ((7.0, 500), (1e12, 5)):
+        args = (duration, BOUNDS, y0, z0, alpha_sq, omega_eff, max_iter)
+        u, j, value, iters, stop = optimal_control._ascend(uu, jj, *args)
+        for row in range(len(uu)):
+            alone = optimal_control._ascend(uu[row:row + 1], jj[row:row + 1], *args)
+            assert np.array_equal(u[row], alone[0][0])
+            assert np.array_equal(j[row], alone[1][0])
+            assert value[row] == alone[2][0]
+            assert iters[row] == alone[3][0]
+            assert stop[row] == alone[4][0]
+        reasons.update(stop)
+    assert reasons == {"projected_gradient", "flat", "no_ascent_step"}
+
+
+def test_maximize_rejects_negative_seeds():
+    with pytest.raises(ValueError, match="seeds"):
+        maximize(3.0, BOUNDS, segments=10, seeds=-1)
+
+
+def test_maximize_rejects_extra_start_of_other_length():
+    extra = ControlVector(np.full(20, 0.5), np.full(20, 0.1), 3.0)
+    with pytest.raises(ValueError, match="10 segments"):
+        maximize(3.0, BOUNDS, segments=10, seeds=1, extra_starts=(extra,))
+
+
+def test_maximize_without_random_starts_runs_the_shortcut_start():
+    res = maximize(3.0, BOUNDS, segments=10, seeds=0, max_iter=50)
+    assert res.seed == -1
+    assert res.best.segments == 10
+    assert res.objective >= objective(shortcut_seed(3.0, 10, BOUNDS))
 
 
 def test_optimum_dominates_feasible_shortcut(fast_run):

@@ -277,16 +277,17 @@ def _rk4_steps(node, mid, h):
 
 
 def _chain(mats, v):
-    """States [v, M0 v, M1 M0 v, ...] under the step matrices in order.
+    """States v, M0 v, M1 M0 v, ... under the step matrices in order,
+    stacked on a new leading axis.
 
     Stacked vectors ride along: with ``mats`` of shape (steps, starts, n, n)
     and ``v`` of shape (starts, n, 1), each step is one stacked product
     that advances every start, and each state has the shape of ``v``.
     """
-    states = [v]
-    for m in mats:
-        v = m @ v
-        states.append(v)
+    states = np.empty((len(mats) + 1,) + v.shape, dtype=np.result_type(mats, v))
+    states[0] = v
+    for m, state, following in zip(mats, states, states[1:]):
+        np.matmul(m, state, out=following)
     return states
 
 
@@ -397,8 +398,7 @@ def evolve_constant(
 
     Exact up to floating point: each block is a small matrix exponential
     evaluated analytically.  Serves as the independent oracle for the RK4
-    integrator and for the control optimiser, which chains the same block
-    propagators for all its segments and starts at once.
+    integrator and for the control optimiser's objective.
     """
     omega_eff = effective_frequency(params)
     a = _one_quantum_propagator(float(j), omega_eff, duration)

@@ -1,14 +1,24 @@
 """Bounded-control maximisation of the final normalised concurrence.
 
-The controls are piecewise constant on N segments, so the objective
-propagates the truncated state with exact per-segment matrix exponentials
-(no integrator error inside the optimisation loop).  Maximisation uses
-projected gradient ascent with Armijo backtracking and analytic gradients
-obtained by differentiating the segment propagators; multistart plus a
+The objective is C(T)/alpha^2 = 2 |w| / alpha^2 with w = c11 - c10 c01 at
+the final time.  The controls are piecewise constant on N segments, so w
+is computed exactly (no integrator error inside the optimisation loop),
+in a frame where it needs little work:
+
+- In the basis S = (c20 + c02)/sqrt(2), A = (c20 - c02)/sqrt(2) the
+  two-quanta block splits into a 2x2 part on (S, c11) and a pure phase on
+  A, which never reaches c11.  Each segment's 2x2 part is a phase times a
+  rotation R; the phases multiply out to one per start, so a single 2x2
+  rotation chain carries (S, c11).
+- The one-quantum block is diagonal in (c10 +- c01)/sqrt(2), so its final
+  amplitudes have a closed form in the integrated coupling dt sum(j).
+
+Maximisation uses projected gradient ascent with Armijo backtracking and
+adjoint gradients (one costate recursion back through the rotations, then
+elementwise contractions with their derivatives); multistart plus a
 shortcut-informed seed guards against local optima, and all starts ascend
-together as one batch.  A bisection on the
-feasibility predicate locates the minimum duration that reaches the
-concurrence ceiling 1 + sqrt(2).
+together as one batch.  A bisection on the feasibility predicate locates
+the minimum duration that reaches the concurrence ceiling 1 + sqrt(2).
 """
 
 from __future__ import annotations
@@ -22,9 +32,7 @@ from . import shortcuts
 from .dynamics import (
     InitialPreparation,
     JunctionParams,
-    _one_quantum_propagator,
-    _two_quanta_propagator,
-    _Q_SYM,
+    SQRT2,
     _chain,
     effective_frequency,
     initial_state,
@@ -80,54 +88,61 @@ class SweepCurve:
 
 
 def _prep_blocks(prep: InitialPreparation, params: JunctionParams):
+    """The preparation in the optimiser's frame: the one-quantum pair
+    (c10, c01), the two-quanta pair (S, c11) with S = (c20 + c02)/sqrt(2),
+    alpha^2 and the complex frequency."""
     state = initial_state(prep)
     y0 = np.array([state.c10, state.c01], dtype=complex)
-    z0 = np.array([state.c20, state.c11, state.c02], dtype=complex)
-    return y0, z0, prep.alpha_sq, effective_frequency(params)
+    x0 = np.array([(state.c20 + state.c02) / SQRT2, state.c11], dtype=complex)
+    return y0, x0, prep.alpha_sq, effective_frequency(params)
 
 
-def _segment_states(uu, jj, duration, y0, z0, omega_eff):
-    """Segment propagators of both blocks and the block states they chain.
+def _angles(uu, jj, dt):
+    """Segment-major controls u, j, the rotation angles
+    y = dt sqrt(u^2 + 4 j^2) and s = sin(y) / sqrt(u^2 + 4 j^2)."""
+    u, j = uu.T, jj.T
+    y = dt * np.sqrt(u * u + 4.0 * j * j)
+    return u, j, y, dt * np.sinc(y / np.pi)  # sinc keeps s regular at y = 0
+
+
+def _forward(uu, jj, duration, y0, x0, omega_eff):
+    """Segment rotations, the (S, c11) states they chain, and the final
+    amplitudes c10, c01 and c11 of each row of controls.
 
     ``uu`` and ``jj`` hold one row of controls per start, shape
-    (starts, segments).  The propagators come back segment-major,
-    (segments, starts, n, n), so that one stacked product per segment
-    advances every start; the states are (starts, n, 1) columns, the
-    initial ones first.
+    (starts, segments).  Segment k maps (S, c11) by q_k R_k with
+    q_k = exp(-i (u_k + 2 omega) dt); the phases multiply out to one per
+    start, so only the rotations R_k are chained.  They come back
+    segment-major, (segments, starts, 2, 2), so that one stacked product
+    per segment advances every start; the states are stacked
+    (segments + 1, starts, 2, 1) columns, the initial ones first.  The
+    one-quantum block depends on the coupling only through
+    Theta = dt sum(j), so its final amplitudes have a closed form.
     """
     starts, n = uu.shape
     dt = duration / n
-    u_seg = np.ascontiguousarray(uu.T)
-    j_seg = np.ascontiguousarray(jj.T)
-    a = _one_quantum_propagator(j_seg, omega_eff, dt)
-    b = _two_quanta_propagator(u_seg, j_seg, omega_eff, dt)
-    y = np.repeat(y0[None, :, None], starts, axis=0)
-    z = np.repeat(z0[None, :, None], starts, axis=0)
-    return a, b, _chain(a, y), _chain(b, z)
+    u, j, y, s = _angles(uu, jj, dt)
+    rot = np.zeros((n, starts, 2, 2), dtype=complex)
+    rot.real[..., 0, 0] = rot.real[..., 1, 1] = np.cos(y)
+    rot.imag[..., 0, 0] = -s * u
+    rot.imag[..., 1, 1] = s * u
+    rot.imag[..., 0, 1] = rot.imag[..., 1, 0] = 2.0 * s * j
+    xs = _chain(rot, np.repeat(x0[None, :, None], starts, axis=0))
+    phase = np.exp(-1j * (dt * uu.sum(axis=1) + 2.0 * omega_eff * duration))
+    theta = dt * jj.sum(axis=1)
+    cos, isin = np.cos(theta), 1j * np.sin(theta)
+    turn = np.exp(-1j * omega_eff * duration)
+    c10 = turn * (cos * y0[0] + isin * y0[1])
+    c01 = turn * (isin * y0[0] + cos * y0[1])
+    return rot, xs, phase, c10, c01, phase * xs[-1, :, 1, 0]
 
 
-def _final_overlap(ys, zs):
-    """Real and imaginary parts of w = c11 - c10 c01 at T, one per start.
-
-    The complex product is written out in real arithmetic, which rounds
-    like numpy's scalar complex product; the vectorised one fuses
-    multiply-adds and would move every iterate of the ascent.
-    """
-    y10, y01 = ys[-1][:, 0, 0], ys[-1][:, 1, 0]
-    z11 = zs[-1][:, 1, 0]
-    w_re = z11.real - (y10.real * y01.real - y10.imag * y01.imag)
-    w_im = z11.imag - (y10.real * y01.imag + y10.imag * y01.real)
-    return w_re, w_im
-
-
-def _objective_value(uu, jj, duration, y0, z0, alpha_sq, omega_eff):
-    """C(T)/alpha^2 of each row of controls, shape (starts, segments).
-
-    |w| is taken with hypot, which rounds like the scalar complex modulus
-    (np.abs on a complex array does not).
-    """
-    _, _, ys, zs = _segment_states(uu, jj, duration, y0, z0, omega_eff)
-    return 2.0 * np.hypot(*_final_overlap(ys, zs)) / alpha_sq
+def _objective_value(uu, jj, duration, y0, x0, alpha_sq, omega_eff):
+    """C(T)/alpha^2 = 2 |c11 - c10 c01| / alpha^2 at T of each row of
+    controls, shape (starts, segments)."""
+    _, _, _, c10, c01, c11 = _forward(uu, jj, duration, y0, x0, omega_eff)
+    w = c11 - c10 * c01
+    return 2.0 * np.hypot(w.real, w.imag) / alpha_sq
 
 
 def objective(
@@ -148,96 +163,42 @@ def objective(
             raise ValueError("controls violate the stated bounds")
     prep = prep if prep is not None else symmetric_preparation(0.1)
     params = params if params is not None else JunctionParams()
-    y0, z0, alpha_sq, omega_eff = _prep_blocks(prep, params)
+    y0, x0, alpha_sq, omega_eff = _prep_blocks(prep, params)
     return _objective_value(
-        controls.u[None], controls.j[None], controls.duration, y0, z0, alpha_sq, omega_eff
+        controls.u[None], controls.j[None], controls.duration, y0, x0, alpha_sq, omega_eff
     )[0]
 
 
 def _h_div(y):
-    """(y cos y - sin y)/y^3, regular with limit -1/3 at 0."""
+    """(y cos y - sin y)/y^3, regular with limit -1/3 at 0.
+
+    The difference cancels for small y, so below |y| = 0.1 the Taylor
+    series takes over; its first omitted term, y^8/3991680, is below
+    1e-14 of the value there.
+    """
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
-    small = np.abs(y) < 1e-4
-    ys = y[small]
-    out[small] = -1.0 / 3.0 + ys * ys / 30.0
+    small = np.abs(y) < 0.1
+    y2 = y[small] ** 2
+    out[small] = -1.0 / 3.0 + y2 * (1.0 / 30.0 + y2 * (-1.0 / 840.0 + y2 / 45360.0))
     yl = y[~small]
     out[~small] = (yl * np.cos(yl) - np.sin(yl)) / yl**3
     return out
 
 
-def _segment_grads(uu, jj, omega_eff, dt):
-    """d/du and d/dj of the per-segment block propagators.
-
-    Differentiates the closed forms used by the propagator builders; the
-    sin(y)/y style factors keep everything regular at zero controls.
-    Takes controls of shape (starts, segments) and returns (dA/dj, dB/du,
-    dB/dj) segment-major, like the propagators of ``_segment_states``.
-    """
-    uu = np.ascontiguousarray(uu.T)
-    jj = np.ascontiguousarray(jj.T)
-    shape = uu.shape
-
-    # one-quantum block: only the coupling enters
-    c = np.cos(jj * dt)
-    s = np.sin(jj * dt)
-    da_j = np.empty(shape + (2, 2), dtype=complex)
-    da_j[..., 0, 0] = -s
-    da_j[..., 1, 1] = -s
-    da_j[..., 0, 1] = 1j * c
-    da_j[..., 1, 0] = 1j * c
-    da_j *= dt * np.exp(-1j * omega_eff * dt)
-
-    # two-quanta block in the symmetric/antisymmetric basis
-    r = np.sqrt(uu * uu + 4.0 * jj * jj)
-    y = r * dt
-    sc = np.sinc(y / np.pi)
-    cy = np.cos(y)
-    h = _h_div(y)
-    q = np.exp(-1j * (uu + 2.0 * omega_eff) * dt)
-    pa = np.exp(-2j * (uu + omega_eff) * dt)
-    big_s = dt * sc  # sin(y)/r
-
-    g00 = cy - 1j * big_s * uu
-    g01 = 2j * big_s * jj
-    g11 = cy + 1j * big_s * uu
-
-    dg00_u = -(dt**2) * uu * sc - 1j * (dt**3 * h * uu * uu + big_s)
-    dg01_u = 2j * dt**3 * h * uu * jj
-    dg11_u = -(dt**2) * uu * sc + 1j * (dt**3 * h * uu * uu + big_s)
-
-    dg00_j = -4.0 * dt**2 * jj * sc - 4j * dt**3 * h * uu * jj
-    dg01_j = 2j * (4.0 * dt**3 * h * jj * jj + big_s)
-    dg11_j = -4.0 * dt**2 * jj * sc + 4j * dt**3 * h * uu * jj
-
-    db_u = np.zeros(shape + (3, 3), dtype=complex)
-    db_u[..., 0, 0] = -1j * dt * q * g00 + q * dg00_u
-    db_u[..., 0, 1] = -1j * dt * q * g01 + q * dg01_u
-    db_u[..., 1, 0] = db_u[..., 0, 1]
-    db_u[..., 1, 1] = -1j * dt * q * g11 + q * dg11_u
-    db_u[..., 2, 2] = -2j * dt * pa
-
-    db_j = np.zeros(shape + (3, 3), dtype=complex)
-    db_j[..., 0, 0] = q * dg00_j
-    db_j[..., 0, 1] = q * dg01_j
-    db_j[..., 1, 0] = db_j[..., 0, 1]
-    db_j[..., 1, 1] = q * dg11_j
-
-    return da_j, _Q_SYM @ db_u @ _Q_SYM, _Q_SYM @ db_j @ _Q_SYM
-
-
-def _objective_and_gradient(uu, jj, duration, y0, z0, alpha_sq, omega_eff):
+def _objective_and_gradient(uu, jj, duration, y0, x0, alpha_sq, omega_eff):
     """Objective and its (u, j) gradient for each row of controls.
 
-    Adjoint method: after the forward chain, only the costate recursion
-    runs segment by segment; the contractions with the propagator
-    derivatives then cover every segment and start at once.  A start with
-    w = 0 has no ascent direction and gets a zero gradient.
+    Adjoint method: after the forward chain, one costate recursion runs
+    back through the rotations; the contractions with their derivatives
+    then cover every segment and start at once, elementwise.  A start
+    with w = 0 has no ascent direction and gets a zero gradient.
     """
     starts, n = uu.shape
-    a, b, ys, zs = _segment_states(uu, jj, duration, y0, z0, omega_eff)
-    w_re, w_im = _final_overlap(ys, zs)
-    modulus = np.hypot(w_re, w_im)
+    dt = duration / n
+    rot, xs, phase, c10, c01, c11 = _forward(uu, jj, duration, y0, x0, omega_eff)
+    w = c11 - c10 * c01
+    modulus = np.hypot(w.real, w.imag)
     value = 2.0 * modulus / alpha_sq
     gu = np.zeros((starts, n))
     gj = np.zeros((starts, n))
@@ -245,32 +206,35 @@ def _objective_and_gradient(uu, jj, duration, y0, z0, alpha_sq, omega_eff):
     if live.size == 0:
         return value, gu, gj
     if live.size < starts:
-        uu, jj, a, b = uu[live], jj[live], a[:, live], b[:, live]
-        ys = [y[live] for y in ys]
-        zs = [z[live] for z in zs]
-    w_conj = np.empty(live.size, dtype=complex)
-    w_conj.real = w_re[live]
-    w_conj.imag = -w_im[live]
-    pref = (2.0 / alpha_sq) * (w_conj / modulus[live])
+        uu, jj, rot, xs, phase = uu[live], jj[live], rot[:, live], xs[:, live], phase[live]
+        w, c10, c01, c11 = w[live], c10[live], c01[live], c11[live]
+    # d value = Re(pref dw), and dw/du_k, dw/dj_k hold phase lam_k R_k' x_k
+    # with lam_k = e_1^T R_{n-1} ... R_{k+1}; the phase's own u-derivative
+    # adds -i dt c11, and Theta's j-derivative -i dt (c10^2 + c01^2)
+    pref = (2.0 / alpha_sq) * w.conj() / modulus[live]
+    top = np.zeros((live.size, 2, 1), dtype=complex)
+    top[:, 1, 0] = pref * phase
+    # R is symmetric, so the costate rows chain as columns
+    lam = _chain(rot[:0:-1], top)[::-1, :, :, 0]
+    x = xs[:-1, :, :, 0]
+    # R' = [[a - ib, ic], [ic, a + ib]] with real a, b, c, so that with
+    # p0 = lam0 x0, p1 = lam1 x1 and p01 = lam0 x1 + lam1 x0,
+    # Re(lam R' x) = a Re(p0 + p1) - b Im(p1 - p0) - c Im(p01)
+    p0 = lam[..., 0] * x[..., 0]
+    p1 = lam[..., 1] * x[..., 1]
+    diag = (p0 + p1).real
+    skew = (p1 - p0).imag
+    cross = (lam[..., 0] * x[..., 1] + lam[..., 1] * x[..., 0]).imag
 
-    # costates d w / d(state after segment k), as rows; az_k[k] and ay_k[k]
-    # multiply the derivative of segment k's propagator
-    az_k = np.zeros((n, live.size, 1, 3), dtype=complex)
-    ay_k = np.empty((n, live.size, 1, 2), dtype=complex)
-    az_k[-1, :, 0, 1] = 1.0
-    ay_k[-1, :, 0, 0] = -ys[-1][:, 1, 0]
-    ay_k[-1, :, 0, 1] = -ys[-1][:, 0, 0]
-    for k in range(n - 1, 0, -1):
-        np.matmul(az_k[k], b[k], out=az_k[k - 1])
-        np.matmul(ay_k[k], a[k], out=ay_k[k - 1])
-
-    da_j, db_u, db_j = _segment_grads(uu, jj, omega_eff, duration / n)
-    z_in = np.stack(zs[:-1])
-    t_u = (az_k @ (db_u @ z_in))[..., 0, 0]
-    t_j = (az_k @ (db_j @ z_in) + ay_k @ (da_j @ np.stack(ys[:-1])))[..., 0, 0]
-    # Re(pref * t), in real arithmetic for the reason given in _final_overlap
-    gu[live] = (pref.real * t_u.real - pref.imag * t_u.imag).T
-    gj[live] = (pref.real * t_j.real - pref.imag * t_j.imag).T
+    # (a, b, c) of dR/du are (-dt u s, h u^2 + s, 2 h u j) and of dR/dj
+    # (-4 dt j s, 4 h u j, 2 (4 h j^2 + s)), with h = dt^3 _h_div(y)
+    u, j, y, s = _angles(uu, jj, dt)
+    h = dt**3 * _h_div(y)
+    ujh = u * j * h
+    gu_seg = -dt * u * s * diag - (h * u * u + s) * skew - 2.0 * ujh * cross
+    gj_seg = -4.0 * dt * j * s * diag - 4.0 * ujh * skew - 2.0 * (4.0 * h * j * j + s) * cross
+    gu[live] = gu_seg.T + (dt * (pref * c11).imag)[:, None]
+    gj[live] = gj_seg.T + (dt * (pref * (c10 * c10 + c01 * c01)).imag)[:, None]
     return value, gu, gj
 
 
@@ -279,13 +243,13 @@ def objective_gradient(
     prep: InitialPreparation | None = None,
     params: JunctionParams | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the objective w.r.t. (u, j), from the analytically
-    differentiated segment propagators."""
+    """Gradient of the objective w.r.t. (u, j), by the adjoint method
+    through the segment rotations."""
     prep = prep if prep is not None else symmetric_preparation(0.1)
     params = params if params is not None else JunctionParams()
-    y0, z0, alpha_sq, omega_eff = _prep_blocks(prep, params)
+    y0, x0, alpha_sq, omega_eff = _prep_blocks(prep, params)
     _, gu, gj = _objective_and_gradient(
-        controls.u[None], controls.j[None], controls.duration, y0, z0, alpha_sq, omega_eff
+        controls.u[None], controls.j[None], controls.duration, y0, x0, alpha_sq, omega_eff
     )
     return gu[0], gj[0]
 
@@ -296,7 +260,7 @@ def project(u, j, bounds):
     return np.clip(u, 0.0, u_max), np.clip(j, 0.0, j_max)
 
 
-def _ascend(u0, j0, duration, bounds, y0, z0, alpha_sq, omega_eff, max_iter):
+def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter):
     """Projected gradient ascent with Armijo backtracking, all starts at once.
 
     Row i of ``u0`` and ``j0`` (shape (starts, segments)) is one start.
@@ -308,7 +272,7 @@ def _ascend(u0, j0, duration, bounds, y0, z0, alpha_sq, omega_eff, max_iter):
     ascent at its resolution), "flat" or "max_iter" (not converged).
     """
     u, j = project(np.asarray(u0, float), np.asarray(j0, float), bounds)
-    value, gu, gj = _objective_and_gradient(u, j, duration, y0, z0, alpha_sq, omega_eff)
+    value, gu, gj = _objective_and_gradient(u, j, duration, y0, x0, alpha_sq, omega_eff)
     starts = value.size
     step = np.ones(starts)
     # each start's last _FLAT_WINDOW + 1 objectives; iteration i in column
@@ -350,7 +314,7 @@ def _ascend(u0, j0, duration, bounds, y0, z0, alpha_sq, omega_eff, max_iter):
                 ja[search] + s[search, None] * ha[search],
                 bounds,
             )
-            cand = _objective_value(tu, tj, duration, y0, z0, alpha_sq, omega_eff)
+            cand = _objective_value(tu, tj, duration, y0, x0, alpha_sq, omega_eff)
             gain = np.sum(ga[search] * (tu - ua[search]), axis=1) + np.sum(
                 ha[search] * (tj - ja[search]), axis=1
             )
@@ -367,7 +331,7 @@ def _ascend(u0, j0, duration, bounds, y0, z0, alpha_sq, omega_eff, max_iter):
 
         u[active], j[active] = cu, cj
         value[active], gu[active], gj[active] = _objective_and_gradient(
-            cu, cj, duration, y0, z0, alpha_sq, omega_eff
+            cu, cj, duration, y0, x0, alpha_sq, omega_eff
         )
         step[active] = np.minimum(2.0 * s, 1e3)
         history[active, it % (_FLAT_WINDOW + 1)] = value[active]
@@ -424,13 +388,13 @@ def maximize(
         raise ValueError(f"extra starts must have {segments} segments")
     params = params if params is not None else JunctionParams()
     prep = prep if prep is not None else symmetric_preparation(0.1)
-    y0, z0, alpha_sq, omega_eff = _prep_blocks(prep, params)
+    y0, x0, alpha_sq, omega_eff = _prep_blocks(prep, params)
 
     if duration == 0.0:
         zero = np.zeros((1, segments))
         return OptimizationResult(
             best=ControlVector(zero[0], zero[0], duration),
-            objective=_objective_value(zero, zero, duration, y0, z0, alpha_sq, omega_eff)[0],
+            objective=_objective_value(zero, zero, duration, y0, x0, alpha_sq, omega_eff)[0],
             iterations=0,
             converged=True,
             seed=-1,
@@ -452,9 +416,9 @@ def maximize(
     u0 = np.array(u0)
     j0 = np.array(j0)
 
-    f0 = _objective_value(*project(u0, j0, bounds), duration, y0, z0, alpha_sq, omega_eff)
+    f0 = _objective_value(*project(u0, j0, bounds), duration, y0, x0, alpha_sq, omega_eff)
     u, j, value, iterations, stop = _ascend(
-        u0, j0, duration, bounds, y0, z0, alpha_sq, omega_eff, max_iter
+        u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter
     )
     improved = bool(np.any(value > f0 + 1e-15))
     best = 0

@@ -1,11 +1,15 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bjjctrl import (
     ControlVector,
+    InitialPreparation,
     JunctionParams,
     evolve_constant,
     initial_state,
@@ -42,7 +46,7 @@ def chained_oracle(cv, prep, params):
     return 2.0 * abs(state.c11 - state.c10 * state.c01) / prep.alpha_sq
 
 
-def central_difference_gradient(cv, params):
+def central_difference_gradient(cv, params, prep=None):
     """Central differences of the public objective, 1e-6 relative step."""
     grads = []
     for name in ("u", "j"):
@@ -54,10 +58,35 @@ def central_difference_gradient(cv, params):
             for sign in (1.0, -1.0):
                 x = x0.copy()
                 x[k] += sign * step
-                values.append(objective(dataclasses.replace(cv, **{name: x}), params=params))
+                values.append(
+                    objective(dataclasses.replace(cv, **{name: x}), prep=prep, params=params)
+                )
             g[k] = (values[0] - values[1]) / (2.0 * step)
         grads.append(g)
     return np.concatenate(grads)
+
+
+#: Property tests draw the same examples on every run.
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def problems(draw):
+    """Bounded controls on 1-30 segments with an asymmetric complex
+    preparation, a frequency in [-0.5, 0.5] and an optional loss rate."""
+    n = draw(st.integers(1, 30))
+    u = draw(st.lists(st.floats(0.0, BOUNDS[0]), min_size=n, max_size=n))
+    j = draw(st.lists(st.floats(0.0, BOUNDS[1]), min_size=n, max_size=n))
+    cv = ControlVector(np.array(u), np.array(j), draw(st.floats(0.5, 10.0)))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    norm = math.sqrt(sum(p * p for p in parts))
+    assume(norm > 1e-3)
+    scale = math.sqrt(draw(st.floats(1e-4, 0.09))) / norm
+    prep = InitialPreparation(
+        complex(parts[0], parts[1]) * scale, complex(parts[2], parts[3]) * scale
+    )
+    params = JunctionParams(draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.0, 0.05])))
+    return cv, prep, params
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +112,17 @@ def test_objective_matches_chained_propagation(rng):
         )
 
 
+@PROPERTY
+@given(problems())
+def test_objective_matches_chained_propagation_property(problem):
+    """With c10 != c01 the closed-form one-quantum factor must get
+    sin(Theta) right, which the symmetric preparation cannot show."""
+    cv, prep, params = problem
+    assert objective(cv, prep, params) == pytest.approx(
+        chained_oracle(cv, prep, params), abs=1e-12
+    )
+
+
 def test_objective_rejects_bound_violation():
     cv = ControlVector(np.full(10, 1.5), np.full(10, 0.1), 3.0)
     with pytest.raises(ValueError, match="bounds"):
@@ -105,6 +145,33 @@ def test_exact_gradient_matches_central_differences(rng):
         ge = np.concatenate(objective_gradient(cv, params=params))
         gf = central_difference_gradient(cv, params)
         assert np.linalg.norm(ge - gf) <= 1e-4 * max(np.linalg.norm(gf), 1e-12)
+
+
+@PROPERTY
+@given(problems())
+def test_exact_gradient_matches_central_differences_property(problem):
+    cv, prep, params = problem
+    # |w| has a kink at w = 0, where no gradient exists
+    assume(objective(cv, prep, params) > 1e-3)
+    ge = np.concatenate(objective_gradient(cv, prep, params))
+    gf = central_difference_gradient(cv, params, prep)
+    assert np.linalg.norm(ge - gf) <= 1e-4 * max(np.linalg.norm(gf), 1e-12)
+
+
+def test_h_div_matches_mpmath():
+    """(y cos y - sin y)/y^3 to 1e-13 relative, across [0, 10] and on
+    both sides of the series cutoff at y = 0.1."""
+    near_cutoff = [1e-8, 1.0001e-4, 3e-4, 1e-3, 0.0999, 0.1 - 1e-12, 0.1 + 1e-12, 0.1001]
+    grid = np.concatenate([np.linspace(0.0, 10.0, 2001), near_cutoff])
+    for y, got in zip(grid, optimal_control._h_div(grid)):
+        if y == 0.0:
+            want = mpmath.mpf(-1) / 3
+        else:
+            # the difference cancels about three digits per decade below 1
+            with mpmath.workdps(30 + 3 * max(0, -math.floor(math.log10(y)))):
+                ym = mpmath.mpf(y)
+                want = (ym * mpmath.cos(ym) - mpmath.sin(ym)) / ym**3
+        assert abs(got - want) <= 1e-13 * abs(want), y
 
 
 def test_gradient_batch_rows_are_independent(rng):

@@ -5,8 +5,12 @@ data: ``duration`` (phase-condition root and its curve), ``shortcut``
 (counterdiabatic run trace), ``simulate`` (trace for a user schedule),
 ``optimize`` / ``mintime`` / ``sweep`` (bounded-control synthesis) and
 ``entangle`` (metrics of a supplied state).  Time series go to CSV with a
-metadata comment block, scalar results to JSON on stdout.  A flat
-JSON config file may supply any option; explicit flags win.
+metadata comment block (``--out``, taken by ``duration``, ``shortcut``,
+``simulate``, ``optimize`` and ``sweep``), scalar results to strict JSON
+on stdout.  Every option is declared once, in ``_COMMANDS``.  A flat JSON
+config file may supply any option; its values go through the same
+converter and choices as the flag's text, ``null`` leaves an option unset,
+and explicit flags win.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -18,6 +22,8 @@ import csv
 import hashlib
 import json
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,97 +52,118 @@ from .shortcuts import (
 )
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
 # ---------------------------------------------------------------------------
 # option handling
 
-_COMMON = {"out": None, "config": None}
+def _positive_float(text):
+    """Converter for alpha, which normalises the concurrence: zero, negative
+    and NaN amplitudes are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
-_DEFAULTS = {
-    "duration": {
-        "profile": None,
-        "knots": "0.9,0.2,0.8",
-        "grid_min": 0.5,
-        "grid_max": 300.0,
-        "grid_step": 0.5,
-        **_COMMON,
-    },
-    "shortcut": {
-        "profile": None,
-        "knots": "0.9,0.2,0.8",
-        "alpha": 0.1,
-        "kappa": 0.0,
-        "omega": 0.0,
-        "t": None,
-        "steps": 10_000,
-        "samples": 4001,
-        **_COMMON,
-    },
-    "simulate": {
-        "schedule": None,
-        "alpha": 0.1,
-        "kappa": 0.0,
-        "omega": 0.0,
-        "steps": 10_000,
-        **_COMMON,
-    },
-    "optimize": {
-        "t": None,
-        "bounds": "1,0.25",
-        "segments": 100,
-        "seeds": 8,
-        "alpha": 0.1,
-        "kappa": 0.0,
-        "base_seed": 1234,
-        "max_iter": 2000,
-        **_COMMON,
-    },
-    "mintime": {
-        "bounds": "1,0.25",
-        "segments": 100,
-        "seeds": 8,
-        "epsilon": 0.005,
-        "alpha": 0.1,
-        "base_seed": 1234,
-        "max_iter": 2000,
-        **_COMMON,
-    },
-    "sweep": {
-        "t": "1:7:0.1",
-        "kappa": "0,0.01,0.05,0.1",
-        "bounds": "1,0.25",
-        "segments": 100,
-        "seeds": 2,
-        "alpha": 0.1,
-        "base_seed": 1234,
-        "max_iter": 800,
-        **_COMMON,
-    },
-    "entangle": {"state": None, "alpha": None, **_COMMON},
+
+class _Opt(NamedTuple):
+    """One option; ``type`` converts flag and config text alike."""
+    type: Callable[[str], object] = str
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False  # otherwise a None default leaves the option unset
+
+
+_PROFILE = _Opt(choices=("original", "fast"), required=True)
+_ALPHA = _Opt(_positive_float, 0.1)
+_OUT = _Opt(help="output CSV path")
+
+#: subcommand -> (help, {config key: _Opt}); the flag is ``_flag(key)``.
+_COMMANDS = {
+    "duration": ("solve the phase-condition duration", {
+        "profile": _PROFILE,
+        "knots": _Opt(str, "0.9,0.2,0.8", "fast-profile knots s0,s1,s2"),
+        "grid_min": _Opt(float, 0.5),
+        "grid_max": _Opt(float, 300.0),
+        "grid_step": _Opt(float, 0.5),
+        "out": _OUT,
+    }),
+    "shortcut": ("run a counterdiabatic shortcut", {
+        "profile": _PROFILE,
+        "knots": _Opt(str, "0.9,0.2,0.8"),
+        "alpha": _ALPHA,
+        "kappa": _Opt(float, 0.0),
+        "omega": _Opt(float, 0.0),
+        "t": _Opt(float, None, "duration; omit to auto-solve"),
+        "steps": _Opt(int, 10_000),
+        "samples": _Opt(int, 4001),
+        "out": _OUT,
+    }),
+    "simulate": ("propagate a schedule from CSV", {
+        "schedule": _Opt(help="CSV with t,u,j columns", required=True),
+        "alpha": _ALPHA,
+        "kappa": _Opt(float, 0.0),
+        "omega": _Opt(float, 0.0),
+        "steps": _Opt(int, 10_000),
+        "out": _OUT,
+    }),
+    "optimize": ("maximise final concurrence at fixed T", {
+        "t": _Opt(float, required=True),
+        "bounds": _Opt(str, "1,0.25", "U_max,J_max"),
+        "segments": _Opt(int, 100),
+        "seeds": _Opt(int, 8),
+        "alpha": _ALPHA,
+        "kappa": _Opt(float, 0.0),
+        "base_seed": _Opt(int, 1234),
+        "max_iter": _Opt(int, 2000),
+        "out": _OUT,
+    }),
+    "mintime": ("minimum duration reaching the ceiling", {
+        "bounds": _Opt(str, "1,0.25"),
+        "segments": _Opt(int, 100),
+        "seeds": _Opt(int, 8),
+        "epsilon": _Opt(float, 0.005),
+        "alpha": _ALPHA,
+        "base_seed": _Opt(int, 1234),
+        "max_iter": _Opt(int, 2000),
+    }),
+    "sweep": ("objective vs duration per loss rate", {
+        "t": _Opt(str, "1:7:0.1", "grid start:stop:step"),
+        "kappa": _Opt(str, "0,0.01,0.05,0.1", "comma-separated loss rates"),
+        "bounds": _Opt(str, "1,0.25"),
+        "segments": _Opt(int, 100),
+        "seeds": _Opt(int, 2),
+        "alpha": _ALPHA,
+        "base_seed": _Opt(int, 1234),
+        "max_iter": _Opt(int, 800),
+        "out": _OUT,
+    }),
+    "entangle": ("entanglement metrics of a state", {
+        "state": _Opt(help="c00,c10,c01,c11,c20,c02 complex literals", required=True),
+        "alpha": _ALPHA._replace(default=None),
+    }),
 }
 
-_REQUIRED = {
-    "duration": ("profile",),
-    "shortcut": ("profile",),
-    "simulate": ("schedule",),
-    "optimize": ("t",),
-    "mintime": (),
-    "sweep": (),
-    "entangle": ("state",),
-}
+
+def _flag(key: str) -> str:
+    return "--T" if key == "t" else "--" + key.replace("_", "-")
 
 
 def _merge_options(command: str, args: argparse.Namespace) -> dict:
-    """Config-file values fill unset flags; hard defaults fill the rest."""
-    defaults = _DEFAULTS[command]
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
+    """Config-file values fill unset flags; the table's defaults fill the rest.
+    A config value's text goes through its option's converter and choices,
+    as a flag's does; ``null`` leaves the option unset."""
+    table = _COMMANDS[command][1]
+    merged = {key: opt.default for key, opt in table.items()}
+    if args.config:
         try:
-            with open(config_path) as f:
+            with open(args.config) as f:
                 loaded = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
@@ -144,26 +171,32 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
             raise ConfigError("config file must hold a flat JSON object")
         for key, value in loaded.items():
             norm = key.replace("-", "_").lower()
-            if norm not in defaults:
+            if norm not in table:
                 raise ConfigError(f"unknown config key {key!r} for {command!r}")
             if isinstance(value, (dict, list)):
                 raise ConfigError(f"config key {key!r} must be a scalar")
-            merged[norm] = value
-    for key in defaults:
-        flag_value = getattr(args, key, None)
+            if value is None:
+                continue
+            opt = table[norm]
+            try:
+                merged[norm] = opt.type(str(value))
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"config key {key!r}: {exc}")
+            if opt.choices is not None and merged[norm] not in opt.choices:
+                raise ConfigError(f"config key {key!r} must be one of {', '.join(opt.choices)}")
+    for key, opt in table.items():
+        flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
-    for key in _REQUIRED[command]:
-        if merged[key] is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-    merged["config"] = None  # path itself is not part of the run identity
+        if opt.required and merged[key] is None:
+            raise ConfigError(f"missing required option {_flag(key)}")
     return merged
 
 
 def _run_identity(options: dict) -> dict:
-    """Options that define the run; output paths are I/O plumbing, not
+    """Options that define the run; the output path is I/O plumbing, not
     configuration, and must not perturb hashes or file bytes."""
-    return {k: v for k, v in options.items() if k not in ("out", "config")}
+    return {k: v for k, v in options.items() if k != "out"}
 
 
 def _config_hash(options: dict) -> str:
@@ -173,7 +206,7 @@ def _config_hash(options: dict) -> str:
 
 def _parse_floats(text, count=None, name="value"):
     try:
-        vals = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError(f"cannot parse {name} list {text!r}")
     if count is not None and len(vals) != count:
@@ -181,7 +214,7 @@ def _parse_floats(text, count=None, name="value"):
     return vals
 
 def _parse_grid(text):
-    parts = str(text).split(":")
+    parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError("duration grid must look like start:stop:step")
     try:
@@ -195,13 +228,9 @@ def _parse_grid(text):
 
 
 def _build_profile(options):
-    kind = options["profile"]
-    if kind == "original":
+    if options["profile"] == "original":
         return profile_original()
-    if kind == "fast":
-        s0, s1, s2 = _parse_floats(options["knots"], 3, "knots")
-        return profile_fast(s0, s1, s2)
-    raise ConfigError(f"unknown profile {options['profile']!r}")
+    return profile_fast(*_parse_floats(options["knots"], 3, "knots"))
 
 
 def _write_csv(path, command, options, header, rows):
@@ -220,7 +249,11 @@ def _write_csv(path, command, options, header, rows):
 def _emit_json(command, options, payload):
     doc = {"command": command, "config_hash": _config_hash(options)}
     doc.update(payload)
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity: not strict JSON
+        raise FloatingPointError(f"non-finite result: {exc}") from None
+    print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +289,9 @@ def cmd_duration(options) -> int:
     lo, hi, step = options["grid_min"], options["grid_max"], options["grid_step"]
     if not (0.0 < lo < hi and step > 0.0):
         raise ConfigError("grid bounds must satisfy 0 < min < max with step > 0")
-    root = solve_duration(profile, scan=(float(lo), float(hi), float(step)))
+    root = solve_duration(profile, scan=(lo, hi, step))
     if options["out"]:
-        grid = np.arange(float(lo), float(hi) + 1e-12, float(step))
+        grid = np.arange(lo, hi + 1e-12, step)
         rows = [(float(t), float(duration_lhs(profile, t))) for t in grid]
         rows.append((float(root), float(duration_lhs(profile, root))))
         _write_csv(options["out"], "duration", options, ["T", "lhs"], rows)
@@ -267,18 +300,13 @@ def cmd_duration(options) -> int:
 
 
 def cmd_shortcut(options) -> int:
-    alpha = float(options["alpha"])
-    if alpha <= 0.0:
-        raise ConfigError("alpha must be positive (an empty junction has no concurrence to normalise)")
-    kappa = float(options["kappa"])
+    alpha, kappa = options["alpha"], options["kappa"]
     profile = _build_profile(options)
-    duration = options["t"]
-    duration = solve_duration(profile) if duration is None else float(duration)
-    schedule, record = counterdiabatic_controls(profile, duration, int(options["samples"]))
-    prep = symmetric_preparation(alpha)
+    duration = options["t"] if options["t"] is not None else solve_duration(profile)
+    schedule, record = counterdiabatic_controls(profile, duration, options["samples"])
     traj = propagate(
-        initial_state(prep), schedule,
-        JunctionParams(float(options["omega"]), kappa), int(options["steps"]),
+        initial_state(symmetric_preparation(alpha)), schedule,
+        JunctionParams(options["omega"], kappa), options["steps"],
     )
     header, rows, conc = _trace_rows(traj, schedule, alpha, kappa)
     if options["out"]:
@@ -320,14 +348,11 @@ def _load_schedule(path) -> ControlSchedule:
 
 
 def cmd_simulate(options) -> int:
-    alpha = float(options["alpha"])
-    if alpha <= 0.0:
-        raise ConfigError("alpha must be positive")
+    alpha, kappa = options["alpha"], options["kappa"]
     schedule = _load_schedule(options["schedule"])
-    kappa = float(options["kappa"])
     traj = propagate(
         initial_state(symmetric_preparation(alpha)), schedule,
-        JunctionParams(float(options["omega"]), kappa), int(options["steps"]),
+        JunctionParams(options["omega"], kappa), options["steps"],
     )
     header, rows, conc = _trace_rows(traj, schedule, alpha, kappa)
     if options["out"]:
@@ -341,14 +366,14 @@ def cmd_simulate(options) -> int:
 
 
 def cmd_optimize(options) -> int:
-    duration = float(options["t"])
+    duration = options["t"]
     bounds = tuple(_parse_floats(options["bounds"], 2, "bounds"))
     res = maximize(
-        duration, bounds, int(options["segments"]), int(options["seeds"]),
-        JunctionParams(0.0, float(options["kappa"])),
-        prep=symmetric_preparation(float(options["alpha"])),
-        base_seed=int(options["base_seed"]),
-        max_iter=int(options["max_iter"]),
+        duration, bounds, options["segments"], options["seeds"],
+        JunctionParams(0.0, options["kappa"]),
+        prep=symmetric_preparation(options["alpha"]),
+        base_seed=options["base_seed"],
+        max_iter=options["max_iter"],
     )
     if options["out"]:
         dt = duration / res.best.segments
@@ -370,15 +395,15 @@ def cmd_optimize(options) -> int:
 def cmd_mintime(options) -> int:
     bounds = tuple(_parse_floats(options["bounds"], 2, "bounds"))
     tstar = minimum_time(
-        bounds, int(options["segments"]), float(options["epsilon"]),
-        prep=symmetric_preparation(float(options["alpha"])),
-        seeds=int(options["seeds"]),
-        base_seed=int(options["base_seed"]),
-        max_iter=int(options["max_iter"]),
+        bounds, options["segments"], options["epsilon"],
+        prep=symmetric_preparation(options["alpha"]),
+        seeds=options["seeds"],
+        base_seed=options["base_seed"],
+        max_iter=options["max_iter"],
     )
     _emit_json("mintime", options, {
         "minimum_time": tstar,
-        "epsilon": float(options["epsilon"]),
+        "epsilon": options["epsilon"],
         "bounds": list(bounds),
     })
     return 0
@@ -389,11 +414,11 @@ def cmd_sweep(options) -> int:
     kappas = _parse_floats(options["kappa"], name="kappa")
     bounds = tuple(_parse_floats(options["bounds"], 2, "bounds"))
     curves = sweep(
-        grid, bounds, int(options["segments"]), kappas,
-        prep=symmetric_preparation(float(options["alpha"])),
-        seeds=int(options["seeds"]),
-        base_seed=int(options["base_seed"]),
-        max_iter=int(options["max_iter"]),
+        grid, bounds, options["segments"], kappas,
+        prep=symmetric_preparation(options["alpha"]),
+        seeds=options["seeds"],
+        base_seed=options["base_seed"],
+        max_iter=options["max_iter"],
     )
     if options["out"]:
         rows = [
@@ -406,15 +431,15 @@ def cmd_sweep(options) -> int:
         f"argmax_T_kappa_{c.kappa:g}": float(c.durations[int(np.argmax(c.objectives))])
         for c in curves
     }
-    summary["max_objective_kappa_0"] = float(max(
-        (c.objectives.max() for c in curves if c.kappa == 0.0), default=float("nan")
-    ))
+    lossless = [c.objectives.max() for c in curves if c.kappa == 0.0]
+    if lossless:
+        summary["max_objective_kappa_0"] = float(max(lossless))
     _emit_json("sweep", options, summary)
     return 0
 
 
 def cmd_entangle(options) -> int:
-    tokens = str(options["state"]).split(",")
+    tokens = options["state"].split(",")
     if len(tokens) != 6:
         raise ConfigError("state needs 6 comma-separated complex amplitudes "
                           "(c00,c10,c01,c11,c20,c02)")
@@ -423,9 +448,7 @@ def cmd_entangle(options) -> int:
     except ValueError:
         raise ConfigError(f"cannot parse state amplitudes {options['state']!r}")
     state = TruncatedState(*amps)
-    alpha = options["alpha"]
-    alpha = float(alpha) if alpha is not None else None
-    cv = concurrence(state, alpha)
+    cv = concurrence(state, options["alpha"])
     result = entanglement_exact(state)
     payload = {
         "concurrence_full": cv.full,
@@ -446,11 +469,6 @@ def cmd_entangle(options) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sub):
-    sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--config", help="flat JSON config file; flags override it")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bjjctrl",
@@ -459,94 +477,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("duration", help="solve the phase-condition duration")
-    p.add_argument("--profile", choices=["original", "fast"])
-    p.add_argument("--knots", help="fast-profile knots s0,s1,s2")
-    p.add_argument("--grid-min", dest="grid_min", type=float)
-    p.add_argument("--grid-max", dest="grid_max", type=float)
-    p.add_argument("--grid-step", dest="grid_step", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_duration)
-
-    p = subs.add_parser("shortcut", help="run a counterdiabatic shortcut")
-    p.add_argument("--profile", choices=["original", "fast"])
-    p.add_argument("--knots")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--T", dest="t", type=float, help="duration; omit to auto-solve")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--samples", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_shortcut)
-
-    p = subs.add_parser("simulate", help="propagate a schedule from CSV")
-    p.add_argument("--schedule", help="CSV with t,u,j columns")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--steps", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs.add_parser("optimize", help="maximise final concurrence at fixed T")
-    p.add_argument("--T", dest="t", type=float)
-    p.add_argument("--bounds", help="U_max,J_max")
-    p.add_argument("--segments", type=int)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--base-seed", dest="base_seed", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_optimize)
-
-    p = subs.add_parser("mintime", help="minimum duration reaching the ceiling")
-    p.add_argument("--bounds")
-    p.add_argument("--segments", type=int)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--base-seed", dest="base_seed", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_mintime)
-
-    p = subs.add_parser("sweep", help="objective vs duration per loss rate")
-    p.add_argument("--T", dest="t", help="grid start:stop:step")
-    p.add_argument("--kappa", help="comma-separated loss rates")
-    p.add_argument("--bounds")
-    p.add_argument("--segments", type=int)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--base-seed", dest="base_seed", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("entangle", help="entanglement metrics of a state")
-    p.add_argument("--state", help="c00,c10,c01,c11,c20,c02 complex literals")
-    p.add_argument("--alpha", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_entangle)
-
+    for command, (summary, table) in _COMMANDS.items():
+        p = subs.add_parser(command, help=summary)
+        for key, opt in table.items():
+            p.add_argument(_flag(key), dest=key, type=opt.type, choices=opt.choices, help=opt.help)
+        p.add_argument("--config", help="flat JSON config file; flags override it")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         options = _merge_options(args.command, args)
-        return args.func(options)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        # looked up at call time, so a wrapped ``cmd_*`` is the one that runs
+        return globals()[f"cmd_{args.command}"](options)
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError, ArithmeticError) as exc:

@@ -384,6 +384,8 @@ def maximize(
         raise ValueError("need at least one segment")
     if seeds < 0:
         raise ValueError("seeds must be >= 0")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     if any(cv.segments != segments for cv in extra_starts):
         raise ValueError(f"extra starts must have {segments} segments")
     params = params if params is not None else JunctionParams()

@@ -2,9 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from bjjctrl import cli
+from bjjctrl.dynamics import ControlSchedule
 
 CLI = [sys.executable, "-m", "bjjctrl.cli"]
 
@@ -14,6 +18,16 @@ def run_cli(*args):
         CLI + list(args), capture_output=True, text=True, timeout=900
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def main_in_process(capsys, *args):
+    """``cli.main`` in this process; argparse's exit becomes a return code."""
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def read_csv(path):
@@ -228,3 +242,126 @@ def test_missing_required_option_rejected():
     code, _, err = run_cli("duration")
     assert code == 2
     assert "profile" in err
+
+
+def test_config_numbers_hash_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"profile": "fast", "grid_max": 40}))
+    code, out, _ = main_in_process(capsys, "duration", "--config", str(cfg))
+    assert code == 0
+    code, flag_out, _ = main_in_process(capsys, "duration", "--profile", "fast", "--grid-max", "40")
+    assert code == 0
+    assert json.loads(out)["config_hash"] == json.loads(flag_out)["config_hash"]
+
+
+@pytest.mark.parametrize("entry", [{"steps": 150.7}, {"alpha": True}, {"profile": "slow"}])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, entry):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"profile": "fast", **entry}))
+    code, out, err = main_in_process(capsys, "shortcut", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert next(iter(entry)) in err
+
+
+def test_config_null_leaves_option_unset(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"profile": None, "grid_max": None}))
+    code, out, err = main_in_process(capsys, "duration", "--config", str(cfg))
+    assert code == 2 and "--profile" in err
+    code, out, _ = main_in_process(capsys, "duration", "--profile", "fast", "--config", str(cfg))
+    assert code == 0
+    code, plain, _ = main_in_process(capsys, "duration", "--profile", "fast")
+    assert json.loads(out)["config_hash"] == json.loads(plain)["config_hash"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("shortcut", "--profile", "fast"),
+    ("simulate", "--schedule", "x.csv"),
+    ("optimize", "--T", "3"),
+    ("mintime",),
+    ("sweep",),
+    ("entangle", "--state", "1,0,0,0,0,0"),
+])
+@pytest.mark.parametrize("alpha", ["0", "-0.1", "nan"])
+def test_alpha_must_be_positive(capsys, argv, alpha):
+    code, out, err = main_in_process(capsys, *argv, "--alpha", alpha)
+    assert code == 2 and out == ""
+    assert "alpha" in err
+
+
+def test_optimize_rejects_negative_max_iter(capsys):
+    code, out, err = main_in_process(capsys, "optimize", "--T", "3", "--max-iter", "-1")
+    assert code == 2
+    assert "max_iter" in err and out == ""
+
+
+def test_sweep_without_lossless_rate_prints_strict_json(capsys):
+    code, out, _ = main_in_process(
+        capsys, "sweep", "--T", "1:2:1", "--kappa", "0.05", "--segments", "4",
+        "--seeds", "0", "--max-iter", "5",
+    )
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    doc = json.loads(out, parse_constant=refuse)
+    assert set(doc) == {"command", "config_hash", "argmax_T_kappa_0.05"}
+
+
+def test_non_finite_result_is_a_numerical_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "minimum_time", lambda *a, **k: float("nan"))
+    code, out, err = main_in_process(capsys, "mintime")
+    assert code == 3 and out == ""
+    assert "non-finite" in err
+
+
+# ---------------------------------------------------------------------------
+# the CLI surface: option strings and config hashes per subcommand
+
+COMMON_FLAGS = {"-h", "--help", "--config"}
+OPTIMISER_FLAGS = {"--bounds", "--segments", "--seeds", "--alpha", "--base-seed", "--max-iter"}
+FLAGS = {
+    "duration": {"--profile", "--knots", "--grid-min", "--grid-max", "--grid-step", "--out"},
+    "shortcut": {"--profile", "--knots", "--alpha", "--kappa", "--omega", "--T", "--steps",
+                 "--samples", "--out"},
+    "simulate": {"--schedule", "--alpha", "--kappa", "--omega", "--steps", "--out"},
+    "optimize": OPTIMISER_FLAGS | {"--T", "--kappa", "--out"},
+    "mintime": OPTIMISER_FLAGS | {"--epsilon"},
+    "sweep": OPTIMISER_FLAGS | {"--T", "--kappa", "--out"},
+    "entangle": {"--state", "--alpha"},
+}
+
+
+def test_subcommand_flags():
+    subparsers = cli._build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(FLAGS)
+    for name, sub in subparsers.items():
+        flags = {s for action in sub._actions for s in action.option_strings}
+        assert flags == FLAGS[name] | COMMON_FLAGS, name
+
+
+@pytest.mark.parametrize("argv, config_hash", [
+    (("duration", "--profile", "fast"), "4e1cc4d158f4"),
+    (("shortcut", "--profile", "fast"), "0db2538608bb"),
+    (("simulate", "--schedule", "x.csv"), "d3c27ff65697"),
+    (("optimize", "--T", "7"), "39caf1c93735"),
+    (("mintime",), "2b5fa3402463"),
+    (("sweep",), "da803e6c572f"),
+    (("entangle", "--state", "1,0,0,0,0,0"), "f7faf703a4ab"),
+])
+def test_config_hash_of_flag_runs_is_pinned(monkeypatch, capsys, argv, config_hash):
+    """The hash covers each option's value and type; a default or converter
+    that drifts changes it, and with it every written CSV's metadata."""
+    real_propagate = cli.propagate
+    best = SimpleNamespace(segments=2, u=np.zeros(2), j=np.zeros(2))
+    monkeypatch.setattr(cli, "propagate", lambda s, sched, p, steps: real_propagate(s, sched, p, 10))
+    monkeypatch.setattr(cli, "solve_duration", lambda *a, **k: 15.0)
+    monkeypatch.setattr(cli, "_load_schedule", lambda path: ControlSchedule(
+        np.array([0.0, 1.0]), np.array([0.5, 0.5]), np.array([0.1, 0.1])))
+    monkeypatch.setattr(cli, "maximize", lambda *a, **k: SimpleNamespace(
+        best=best, objective=1.0, iterations=1, converged=True, seed=0))
+    monkeypatch.setattr(cli, "minimum_time", lambda *a, **k: 6.5)
+    monkeypatch.setattr(cli, "sweep", lambda *a, **k: [])
+    code, out, _ = main_in_process(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config_hash"] == config_hash

@@ -268,6 +268,11 @@ def test_maximize_rejects_negative_seeds():
         maximize(3.0, BOUNDS, segments=10, seeds=-1)
 
 
+def test_maximize_rejects_negative_max_iter():
+    with pytest.raises(ValueError, match="max_iter"):
+        maximize(3.0, BOUNDS, segments=10, seeds=1, max_iter=-1)
+
+
 def test_maximize_rejects_extra_start_of_other_length():
     extra = ControlVector(np.full(20, 0.5), np.full(20, 0.1), 3.0)
     with pytest.raises(ValueError, match="10 segments"):

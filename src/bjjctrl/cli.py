@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -228,22 +227,34 @@ def _parse_grid(text):
 
 
 def _build_profile(options):
-    if options["profile"] == "original":
-        return profile_original()
-    return profile_fast(*_parse_floats(options["knots"], 3, "knots"))
+    # The knots are part of every run's identity, so they are checked
+    # whatever the profile: building the fast profile is that check.
+    fast = profile_fast(*_parse_floats(options["knots"], 3, "knots"))
+    return fast if options["profile"] == "fast" else profile_original()
 
 
 def _write_csv(path, command, options, header, rows):
+    """Metadata comments, the header, then one line per row, streamed.
+
+    Rows hold Python ints and floats (not numpy scalars, whose repr names
+    the type); repr round-trips a float exactly, so written schedules
+    replay.  No field needs quoting, so the lines are the bytes
+    ``csv.writer`` writes for the same rows.
+    """
     with open(path, "w", newline="") as f:
         f.write(f"# version={__version__}\n")
         f.write(f"# command={command}\n")
         f.write(f"# config_hash={_config_hash(options)}\n")
         f.write(f"# config={json.dumps(_run_identity(options), sort_keys=True, default=str)}\n")
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            # repr round-trips float64 exactly, so written schedules replay
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        f.write(",".join(header) + "\r\n")
+        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
+def _array_rows(table, block=1024):
+    """Rows of a 2-d array as lists of Python floats, converted one block at
+    a time: a 10k-row trace never exists as Python objects all at once."""
+    for start in range(0, len(table), block):
+        yield from table[start : start + block].tolist()
 
 
 def _emit_json(command, options, payload):
@@ -259,8 +270,15 @@ def _emit_json(command, options, payload):
 # ---------------------------------------------------------------------------
 # commands
 
-def _trace_rows(traj, schedule, alpha, kappa):
-    """Per-sample trace columns shared by ``shortcut`` and ``simulate``."""
+_TRACE_HEADER = [
+    "t", "u", "j", "re_c11_minus_product", "im_c11_minus_product",
+    "concurrence_norm", "one_quantum_residual", "two_quanta_residual",
+]
+
+
+def _trace_table(traj, schedule, alpha, kappa):
+    """Per-sample trace shared by ``shortcut`` and ``simulate``: one
+    (samples x 8) array with the ``_TRACE_HEADER`` columns, and C/alpha^2."""
     t = traj.times
     u, j = schedule.controls_at(t)
     amps = traj.amplitudes
@@ -269,19 +287,10 @@ def _trace_rows(traj, schedule, alpha, kappa):
     one, two = traj.manifold_populations()
     res_one = np.abs(one - one[0] * np.exp(-kappa * t))
     res_two = np.abs(two - two[0] * np.exp(-2.0 * kappa * t))
-    header = [
-        "t", "u", "j", "re_c11_minus_product", "im_c11_minus_product",
-        "concurrence_norm", "one_quantum_residual", "two_quanta_residual",
-    ]
-    rows = [
-        (
-            float(t[i]), float(u[i]), float(j[i]),
-            float(norm_complex[i].real), float(norm_complex[i].imag),
-            float(conc[i]), float(res_one[i]), float(res_two[i]),
-        )
-        for i in range(t.size)
-    ]
-    return header, rows, conc
+    table = np.column_stack(
+        (t, u, j, norm_complex.real, norm_complex.imag, conc, res_one, res_two)
+    )
+    return table, conc
 
 
 def cmd_duration(options) -> int:
@@ -291,9 +300,9 @@ def cmd_duration(options) -> int:
         raise ConfigError("grid bounds must satisfy 0 < min < max with step > 0")
     root = solve_duration(profile, scan=(lo, hi, step))
     if options["out"]:
-        grid = np.arange(lo, hi + 1e-12, step)
-        rows = [(float(t), float(duration_lhs(profile, t))) for t in grid]
-        rows.append((float(root), float(duration_lhs(profile, root))))
+        durations = np.append(np.arange(lo, hi + 1e-12, step), root)
+        lhs = duration_lhs(profile, durations)
+        rows = zip(durations.tolist(), lhs.tolist())
         _write_csv(options["out"], "duration", options, ["T", "lhs"], rows)
     _emit_json("duration", options, {"root": root, "profile": options["profile"]})
     return 0
@@ -308,9 +317,9 @@ def cmd_shortcut(options) -> int:
         initial_state(symmetric_preparation(alpha)), schedule,
         JunctionParams(options["omega"], kappa), options["steps"],
     )
-    header, rows, conc = _trace_rows(traj, schedule, alpha, kappa)
+    table, conc = _trace_table(traj, schedule, alpha, kappa)
     if options["out"]:
-        _write_csv(options["out"], "shortcut", options, header, rows)
+        _write_csv(options["out"], "shortcut", options, _TRACE_HEADER, _array_rows(table))
     _emit_json("shortcut", options, {
         "T": duration,
         "theta": record.theta,
@@ -354,9 +363,9 @@ def cmd_simulate(options) -> int:
         initial_state(symmetric_preparation(alpha)), schedule,
         JunctionParams(options["omega"], kappa), options["steps"],
     )
-    header, rows, conc = _trace_rows(traj, schedule, alpha, kappa)
+    table, conc = _trace_table(traj, schedule, alpha, kappa)
     if options["out"]:
-        _write_csv(options["out"], "simulate", options, header, rows)
+        _write_csv(options["out"], "simulate", options, _TRACE_HEADER, _array_rows(table))
     _emit_json("simulate", options, {
         "T": schedule.duration,
         "final_concurrence_norm": float(conc[-1]),

@@ -386,6 +386,8 @@ def maximize(
         raise ValueError("seeds must be >= 0")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
+    if not all(math.isfinite(b) and b >= 0.0 for b in bounds):
+        raise ValueError(f"bounds must be two finite values >= 0, got {tuple(bounds)}")
     if any(cv.segments != segments for cv in extra_starts):
         raise ValueError(f"extra starts must have {segments} segments")
     params = params if params is not None else JunctionParams()

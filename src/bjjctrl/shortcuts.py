@@ -24,20 +24,25 @@ the inverse of that peak.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._quadrature import piecewise_simpson
+from ._quadrature import piecewise_simpson, simpson_pieces, simpson_uniform
 from .dynamics import SQRT2, ControlSchedule, TruncatedState
 
 #: Peak reference gap; the unit of energy throughout.
 E0_MAX = 1.0
 
 _HALF_PI = math.pi / 2.0
+
+#: Durations per (T x s) block of the phase condition; a block of 8 rows
+#: over the ~4000 Simpson nodes stays near a quarter megabyte.
+_LHS_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,8 @@ class ReferenceProfile:
     angle_poly: PiecewisePoly
     gap_poly: PiecewisePoly
     knots: tuple[float, float, float] | None = None  # (s0, s1, s2) for "fast"
+    # points_per_unit -> phase-condition node table, filled by _lhs_table
+    _lhs_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def angle(self, s, order: int = 0):
         return self.angle_poly(s, order)
@@ -317,9 +324,40 @@ def counterdiabatic_controls(
     return schedule, phases(profile, duration, schedule)
 
 
+def _lhs_table(profile: ReferenceProfile, points_per_unit: int) -> list:
+    """Per Simpson piece: (E0 cos phi, (E0 sin phi)^2, E0, phi', node spacing).
+
+    None of these depends on T, so each profile tabulates them once per
+    resolution and every later evaluation of the condition reuses them.
+    The table lives and dies with the profile object (the CLI builds a
+    new one per command).
+    """
+    table = profile._lhs_tables.get(points_per_unit)
+    if table is None:
+        table = []
+        for s, dx in simpson_pieces(profile.breakpoints, points_per_unit):
+            phi = profile.angle(s)
+            e0 = profile.gap(s)
+            table.append((e0 * np.cos(phi), (e0 * np.sin(phi)) ** 2, e0, profile.angle(s, 1), dx))
+        profile._lhs_tables[points_per_unit] = table
+    return table
+
+
+def _lhs_block(table: list, durations: np.ndarray) -> np.ndarray:
+    """LHS for a 1-d block of durations, as one (T x s) array per piece."""
+    per_t = durations[:, None]
+    total = 0.0
+    for e0_cos, e0_sin_sq, e0, rate, dx in table:
+        val = 0.5 * (e0_cos + np.sqrt(e0_sin_sq + (rate / per_t) ** 2) - e0)
+        if not np.all(np.isfinite(val)):
+            raise FloatingPointError("non-finite phase-condition integrand")
+        total += simpson_uniform(val, dx)
+    return durations * total
+
+
 def duration_lhs(
-    profile: ReferenceProfile, duration: float, points_per_unit: int = 4000
-) -> float:
+    profile: ReferenceProfile, duration, points_per_unit: int = 4000
+) -> float | np.ndarray:
     """Left-hand side of the phase-difference condition at duration T.
 
     T * Int_0^1 (E0/2) (cos phi + sin phi sqrt(1 + phi'^2/(T^2 E0^2 sin^2 phi)) - 1) ds,
@@ -327,22 +365,31 @@ def duration_lhs(
     (1/2)(E0 cos phi + sqrt(E0^2 sin^2 phi + (phi'/T)^2) - E0), which stays
     finite where gap and angle close together.  Maximum concurrence is
     reached when this equals pi.
+
+    ``duration`` is a positive scalar (a float comes back) or an array of
+    them (an array of the same shape comes back).  T enters the integrand
+    only through phi'/T: phi, phi' and E0 on the piecewise Simpson nodes
+    are tabulated once per profile, and the durations are integrated in
+    blocks of a few at a time, so memory stays bounded for any count.
     """
-    if duration <= 0.0:
+    durations = np.asarray(duration, dtype=float)
+    if not np.all(durations > 0.0):
         raise ValueError("duration must be positive")
+    table = _lhs_table(profile, points_per_unit)
+    flat = durations.ravel()
+    lhs = np.empty_like(flat)
+    for i in range(0, flat.size, _LHS_CHUNK):
+        lhs[i : i + _LHS_CHUNK] = _lhs_block(table, flat[i : i + _LHS_CHUNK])
+    return float(lhs[0]) if durations.ndim == 0 else lhs.reshape(durations.shape)
 
-    def integrand(s):
-        phi = profile.angle(s)
-        e0 = profile.gap(s)
-        dphi = profile.angle(s, 1) / duration
-        val = 0.5 * (
-            e0 * np.cos(phi) + np.sqrt((e0 * np.sin(phi)) ** 2 + dphi**2) - e0
-        )
-        if not np.all(np.isfinite(val)):
-            raise FloatingPointError("non-finite phase-condition integrand")
-        return val
 
-    return duration * piecewise_simpson(integrand, profile.breakpoints, points_per_unit)
+def _scan_points(start: float, stop: float, step: float):
+    """start, start + step, ... up to stop, accumulated one step at a time."""
+    yield start
+    t = start + step
+    while t <= stop + 1e-12:
+        yield t
+        t += step
 
 
 def solve_duration(
@@ -353,22 +400,27 @@ def solve_duration(
 
     Scans the LHS - pi sign along the given (start, stop, step) grid for
     its first crossing, then bisects 60 times.  The LHS grows linearly
-    for large T, so a single crossing exists for sensible profiles.
+    for large T, so a single crossing exists for sensible profiles.  The
+    scan evaluates its points in blocks of a few durations per
+    ``duration_lhs`` call and stops after the first block that holds a
+    crossing; the profile's node table is built by the first call and
+    reused by every scan block and bisection step.
     """
     start, stop, step = scan
-    t_prev = start
-    f_prev = duration_lhs(profile, t_prev) - math.pi
+    if not step > 0.0:
+        raise ValueError("scan step must be positive")
+    points = _scan_points(start, stop, step)
     bracket = None
-    t = start + step
-    while t <= stop + 1e-12:
-        f = duration_lhs(profile, t) - math.pi
-        if f == 0.0:
-            return t
-        if f_prev < 0.0 < f or f < 0.0 < f_prev:
-            bracket = (t_prev, f_prev, t)
-            break
-        t_prev, f_prev = t, f
-        t += step
+    t_prev = f_prev = None
+    while bracket is None and (block := list(itertools.islice(points, _LHS_CHUNK))):
+        for t, f in zip(block, duration_lhs(profile, np.array(block)) - math.pi):
+            if f_prev is not None:
+                if f == 0.0:
+                    return t
+                if f_prev < 0.0 < f or f < 0.0 < f_prev:
+                    bracket = (t_prev, f_prev, t)
+                    break
+            t_prev, f_prev = t, f
     if bracket is None:
         raise RuntimeError(
             f"no phase-condition crossing for T in [{start}, {stop}]"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -193,6 +194,49 @@ def test_sweep_curves_and_determinism(tmp_path):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--T", "2"),
+    ("mintime",),
+    ("sweep", "--T", "1:2:1"),
+])
+@pytest.mark.parametrize("bounds", ["-1,0.25", "1,-0.25", "inf,0.25", "1,nan"])
+def test_optimiser_commands_reject_invalid_bounds(capsys, argv, bounds):
+    code, out, err = main_in_process(
+        capsys, *argv, f"--bounds={bounds}", "--segments", "4", "--seeds", "0", "--max-iter", "5",
+    )
+    assert code == 2 and out == ""
+    assert "bounds" in err
+
+
+# ---------------------------------------------------------------------------
+# written CSV bytes
+
+#: sha256 of each CSV, as the csv-module writer wrote it; the file name is
+#: part of simulate's config line, so the runs share one directory.
+CSV_SHA256 = [
+    (("shortcut", "--profile", "fast", "--steps", "200", "--out", "shortcut.csv"),
+     "49390bbaaa069afb62e5c485d18f87081d6fd5e9326e2907f8209a0b6018d9a0"),
+    (("simulate", "--schedule", "shortcut.csv", "--steps", "200", "--out", "simulate.csv"),
+     "5ce2e029eda6f46561a291bfd63210312deadd2035e2bc7cb0e1a78d4ae9aaf7"),
+    (("optimize", "--T", "3", "--segments", "10", "--seeds", "1", "--out", "optimize.csv"),
+     "0f8dc57fcc1b4715a3b294de0476a637288158c0c817960544625e4e9c6bf224"),
+    (("sweep", "--T", "1:2:0.5", "--segments", "4", "--seeds", "1", "--max-iter", "5",
+      "--out", "sweep.csv"),
+     "429f394ac835b7999630d685e0cc942553e23a81588135e41de4fa4bdad08274"),
+    (("duration", "--profile", "fast", "--out", "duration.csv"),
+     "012dc7c6d8607acf3d9f33555ab14a7d9d7726593b6607cea7ddd8794d59e6f5"),
+]
+
+
+def test_csv_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in CSV_SHA256:
+        code, _, err = main_in_process(capsys, *argv)
+        assert code == 0, err
+        written = (tmp_path / argv[-1]).read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest, argv[0]
+
+
 # ---------------------------------------------------------------------------
 # entangle + config handling
 
@@ -330,6 +374,16 @@ FLAGS = {
     "sweep": OPTIMISER_FLAGS | {"--T", "--kappa", "--out"},
     "entangle": {"--state", "--alpha"},
 }
+
+
+@pytest.mark.parametrize("argv", [("duration",), ("shortcut", "--T", "10", "--steps", "10")])
+@pytest.mark.parametrize("knots", ["x", "0.9,0.2", "1.5,0.2,0.8", "0.9,0.8,0.2", "nan,0.2,0.8"])
+def test_knots_are_checked_for_every_profile(capsys, argv, knots):
+    """The knots enter every run's config hash, so the original profile,
+    which does not use them, must not accept malformed ones either."""
+    code, out, err = main_in_process(capsys, *argv, "--profile", "original", "--knots", knots)
+    assert code == 2 and out == ""
+    assert "knots" in err or "s0" in err
 
 
 def test_subcommand_flags():

@@ -273,6 +273,12 @@ def test_maximize_rejects_negative_max_iter():
         maximize(3.0, BOUNDS, segments=10, seeds=1, max_iter=-1)
 
 
+@pytest.mark.parametrize("bounds", [(-1.0, 0.25), (1.0, -0.25), (math.inf, 0.25), (1.0, math.nan)])
+def test_maximize_rejects_invalid_bounds(bounds):
+    with pytest.raises(ValueError, match="bounds"):
+        maximize(3.0, bounds, segments=4, seeds=0, max_iter=5)
+
+
 def test_maximize_rejects_extra_start_of_other_length():
     extra = ControlVector(np.full(20, 0.5), np.full(20, 0.1), 3.0)
     with pytest.raises(ValueError, match="10 segments"):

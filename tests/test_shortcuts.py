@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from bjjctrl import (
@@ -24,7 +26,7 @@ from bjjctrl import (
 )
 from bjjctrl._quadrature import piecewise_simpson
 from bjjctrl.dynamics import SQRT2
-from bjjctrl.shortcuts import PiecewisePoly, ReferenceProfile, _controls_on
+from bjjctrl.shortcuts import _LHS_CHUNK, PiecewisePoly, ReferenceProfile, _controls_on
 
 HALF_PI = math.pi / 2.0
 
@@ -310,13 +312,56 @@ def test_duration_lhs_linear_growth(original_profile, fast_profile):
 
 
 def test_duration_lhs_rejects_nonpositive_time(fast_profile):
-    with pytest.raises(ValueError):
-        duration_lhs(fast_profile, 0.0)
+    for duration in (0.0, -1.0, math.nan, [1.0, 0.0, 2.0], [3.0] * _LHS_CHUNK + [-1.0]):
+        with pytest.raises(ValueError):
+            duration_lhs(fast_profile, np.array(duration))
+
+
+def lhs_oracle(profile, duration):
+    """T * piecewise Simpson of the integrand at one T, evaluated afresh."""
+
+    def integrand(s):
+        phi = profile.angle(s)
+        e0 = profile.gap(s)
+        dphi = profile.angle(s, 1) / duration
+        return 0.5 * (e0 * np.cos(phi) + np.sqrt((e0 * np.sin(phi)) ** 2 + dphi**2) - e0)
+
+    return duration * piecewise_simpson(integrand, profile.breakpoints)
+
+
+@st.composite
+def knots_and_durations(draw):
+    s1 = draw(st.floats(0.05, 0.45))
+    s2 = draw(st.floats(s1 + 0.05, 0.95))
+    s0 = draw(st.floats(0.05, 0.95))
+    count = draw(st.sampled_from([1, _LHS_CHUNK, _LHS_CHUNK + 1]))
+    durations = draw(st.lists(st.floats(0.5, 2000.0), min_size=count, max_size=count))
+    return (s0, s1, s2), durations
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(knots_and_durations())
+def test_duration_lhs_array_matches_per_duration_oracle(case):
+    knots, durations = case
+    profile = profile_fast(*knots)
+    got = duration_lhs(profile, np.array(durations))
+    assert got.shape == (len(durations),)
+    want = np.array([lhs_oracle(profile, t) for t in durations])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert duration_lhs(profile, durations[-1]) == got[-1]
+
+
+def test_duration_lhs_rejects_non_finite_integrand():
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        duration_lhs(flat_profile(gap_value=math.nan), np.array([1.0, 2.0]))
 
 
 def test_solved_durations_reference_values(original_run, fast_run):
     assert original_run.duration == pytest.approx(77.724, abs=0.05)
     assert fast_run.duration == pytest.approx(15.665, abs=0.05)
+    # the roots of the scalar scan-and-bisect solver, bit for bit
+    assert original_run.duration == pytest.approx(77.7230026535778, rel=0.0, abs=1e-12)
+    assert fast_run.duration == pytest.approx(15.664959606234735, rel=0.0, abs=1e-12)
 
 
 def test_flat_profile_duration_equals_estimate():
@@ -328,6 +373,12 @@ def test_flat_profile_duration_equals_estimate():
 def test_solve_duration_reports_missing_bracket(fast_profile):
     with pytest.raises(RuntimeError, match="no phase-condition crossing"):
         solve_duration(fast_profile, scan=(0.5, 5.0, 0.5))
+
+
+@pytest.mark.parametrize("step", [0.0, -0.5, math.nan])
+def test_solve_duration_rejects_scan_that_never_advances(fast_profile, step):
+    with pytest.raises(ValueError, match="step"):
+        solve_duration(fast_profile, scan=(0.5, 5.0, step))
 
 
 def test_estimate_identity():

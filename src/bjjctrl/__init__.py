@@ -13,7 +13,6 @@ from .dynamics import (
     TruncatedState,
     evolve_constant,
     initial_state,
-    product_phase,
     propagate,
     symmetric_preparation,
 )
@@ -23,16 +22,13 @@ from .entanglement import (
     EntanglementResult,
     concurrence,
     dominant_trace,
-    eigenvalue_approximations,
     entanglement_exact,
     entanglement_of_concurrence,
-    max_concurrence,
     reduced_density,
 )
 from .shortcuts import (
     GaugePhaseRecord,
     ReferenceProfile,
-    TwoLevelState,
     counterdiabatic_controls,
     duration_lhs,
     estimate_min_duration,
@@ -42,7 +38,6 @@ from .shortcuts import (
     solve_coeffs_E,
     solve_coeffs_phi,
     solve_duration,
-    two_level_reduce,
 )
 from .optimal_control import (
     ControlVector,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from collections.abc import Callable
 from typing import NamedTuple
@@ -220,6 +221,8 @@ def _parse_grid(text):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"cannot parse duration grid {text!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"duration grid must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ConfigError("duration grid must be increasing")
     n = int(round((stop - start) / step))
@@ -331,23 +334,25 @@ def cmd_shortcut(options) -> int:
 
 
 def _load_schedule(path) -> ControlSchedule:
+    """t,u,j samples of a schedule CSV, parsed as the file is read: no line
+    is kept once its floats are taken.  Blank and ``#`` lines are skipped,
+    and the first other line may be a non-numeric header."""
     times, u, j = [], [], []
     try:
         with open(path) as f:
-            lines = [ln for ln in map(str.strip, f) if ln and not ln.startswith("#")]
+            lines = (ln for ln in map(str.strip, f) if ln and not ln.startswith("#"))
+            for i, line in enumerate(lines):
+                try:
+                    vals = [float(p) for p in line.split(",")[:3]]
+                except ValueError:
+                    if i == 0:
+                        continue  # header row
+                    raise ConfigError(f"non-numeric schedule row: {line!r}")
+                if len(vals) < 3:
+                    raise ConfigError(f"schedule rows need t,u,j columns: {line!r}")
+                times.append(vals[0]); u.append(vals[1]); j.append(vals[2])
     except OSError as exc:
         raise ConfigError(f"cannot read schedule: {exc}")
-    for i, line in enumerate(lines):
-        parts = line.split(",")
-        try:
-            vals = [float(p) for p in parts[:3]]
-        except ValueError:
-            if i == 0:
-                continue  # header row
-            raise ConfigError(f"non-numeric schedule row: {line!r}")
-        if len(vals) < 3:
-            raise ConfigError(f"schedule rows need t,u,j columns: {line!r}")
-        times.append(vals[0]); u.append(vals[1]); j.append(vals[2])
     if not times:
         raise ConfigError("schedule file holds no samples")
     try:

@@ -43,8 +43,6 @@ def dissipative_trace(
     kappa: float,
     prep: InitialPreparation | None = None,
     steps: int = 10_000,
-    *,
-    omega: float = 0.0,
 ) -> DissipativeTrace:
     """Dominant concurrence along a schedule, with and without losses.
 
@@ -55,12 +53,12 @@ def dissipative_trace(
         raise ValueError("kappa must be >= 0")
     prep = prep if prep is not None else symmetric_preparation(0.1)
     state0 = initial_state(prep)
-    lossless = propagate(state0, schedule, JunctionParams(omega, 0.0), steps)
+    lossless = propagate(state0, schedule, JunctionParams(), steps)
     base = dominant_trace(lossless.amplitudes)
     if kappa == 0.0:
         lossy = base.copy()
     else:
-        run = propagate(state0, schedule, JunctionParams(omega, kappa), steps)
+        run = propagate(state0, schedule, JunctionParams(kappa=kappa), steps)
         lossy = dominant_trace(run.amplitudes)
     peak = float(lossless.times[int(np.argmax(lossy))])
     return DissipativeTrace(

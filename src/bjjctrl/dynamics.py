@@ -29,9 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import simpson_uniform
-
 SQRT2 = math.sqrt(2.0)
+
+#: Largest alpha^2 a preparation may carry: the truncation to two quanta
+#: is only trustworthy for alpha^2 well below one.
+MAX_ALPHA_SQ = 0.1
 
 #: Column order of amplitude arrays throughout the package.
 AMPLITUDE_LABELS = ("c00", "c10", "c01", "c11", "c20", "c02")
@@ -97,31 +99,27 @@ class TruncatedState:
             raise ValueError("expected 6 amplitudes")
         return cls(*(complex(v) for v in values))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
 
 @dataclass(frozen=True)
 class InitialPreparation:
     """Product of two coherent states |alpha1>|alpha2> feeding the junction.
 
     ``alpha`` is the total pump amplitude sqrt(|alpha1|^2 + |alpha2|^2).
-    The truncation to two quanta is only trustworthy for alpha^2 well
-    below one, enforced via ``max_alpha_sq``.
+    alpha^2 may not exceed ``MAX_ALPHA_SQ``, below which the truncation to
+    two quanta holds.
     """
 
     alpha1: complex
     alpha2: complex
-    max_alpha_sq: float = 0.1
 
     def __post_init__(self):
         for v in (complex(self.alpha1), complex(self.alpha2)):
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError("coherent amplitudes must be finite")
-        if self.alpha_sq > self.max_alpha_sq:
+        if self.alpha_sq > MAX_ALPHA_SQ:
             raise ValueError(
                 f"alpha^2 = {self.alpha_sq:.4g} exceeds the weak-pumping cap "
-                f"{self.max_alpha_sq:.4g}"
+                f"{MAX_ALPHA_SQ:.4g}"
             )
 
     @property
@@ -133,10 +131,10 @@ class InitialPreparation:
         return math.sqrt(self.alpha_sq)
 
 
-def symmetric_preparation(alpha: float, max_alpha_sq: float = 0.1) -> InitialPreparation:
+def symmetric_preparation(alpha: float) -> InitialPreparation:
     """In-phase, real, even split alpha1 = alpha2 = alpha/sqrt(2)."""
     half = alpha / SQRT2
-    return InitialPreparation(half, half, max_alpha_sq)
+    return InitialPreparation(half, half)
 
 
 @dataclass(frozen=True)
@@ -205,36 +203,24 @@ class Trajectory:
         return one, two
 
 
-def initial_state(prep: InitialPreparation, mode: str = "leading_order") -> TruncatedState:
-    """Expand the coherent product state on the truncated basis.
+def initial_state(prep: InitialPreparation) -> TruncatedState:
+    """Expand the coherent product state on the truncated basis, to leading
+    order in alpha.
 
-    ``exact`` keeps the exp(-alpha^2/2) normalisation of each coherent
-    state; ``leading_order`` (default) drops it everywhere except in c00,
-    where 1 - alpha^2/2 is kept.  The leading-order amplitudes make the
-    per-manifold populations exactly alpha^2 and alpha^4/2.
+    The exp(-alpha^2/2) normalisation of each coherent state is dropped
+    everywhere except in c00, where 1 - alpha^2/2 is kept.  The per-manifold
+    populations are then exactly alpha^2 and alpha^4/2.
     """
     a1 = complex(prep.alpha1)
     a2 = complex(prep.alpha2)
-    if mode == "exact":
-        g = math.exp(-prep.alpha_sq / 2.0)
-        return TruncatedState(
-            c00=g,
-            c10=g * a1,
-            c01=g * a2,
-            c11=g * a1 * a2,
-            c20=g * a1 * a1 / SQRT2,
-            c02=g * a2 * a2 / SQRT2,
-        )
-    if mode == "leading_order":
-        return TruncatedState(
-            c00=1.0 - prep.alpha_sq / 2.0,
-            c10=a1,
-            c01=a2,
-            c11=a1 * a2,
-            c20=a1 * a1 / SQRT2,
-            c02=a2 * a2 / SQRT2,
-        )
-    raise ValueError(f"unknown preparation mode {mode!r}")
+    return TruncatedState(
+        c00=1.0 - prep.alpha_sq / 2.0,
+        c10=a1,
+        c01=a2,
+        c11=a1 * a2,
+        c20=a1 * a1 / SQRT2,
+        c02=a2 * a2 / SQRT2,
+    )
 
 
 #: Amplitude columns of the one-quanta (c10, c01) and two-quanta
@@ -413,24 +399,3 @@ def evolve_constant(
         c20=complex(two[0]),
         c02=complex(two[2]),
     )
-
-
-def product_phase(schedule: ControlSchedule, alpha: float) -> complex:
-    """c10(T)*c01(T) for the symmetric preparation, (alpha^2/2) e^{2i Int J dt}.
-
-    The symmetric one-quantum state is a coupling eigenvector, so only the
-    integrated coupling matters (frequency treated as 0; it drops out of
-    the product's modulus anyway).  The integral uses Simpson's rule when
-    the sample grid is uniform with an odd count, trapezoid otherwise.
-    """
-    t = schedule.times
-    j = schedule.j
-    if t.size >= 3 and t.size % 2 == 1:
-        dt = np.diff(t)
-        if np.allclose(dt, dt[0], rtol=1e-12, atol=1e-15):
-            integral = simpson_uniform(j, float(dt[0]))
-        else:
-            integral = float(np.trapezoid(j, t))
-    else:
-        integral = float(np.trapezoid(j, t))
-    return 0.5 * alpha**2 * np.exp(2j * integral)

@@ -87,13 +87,6 @@ def dominant_trace(amplitudes: np.ndarray) -> np.ndarray:
     return 2.0 * np.abs(a[..., 3] - a[..., 1] * a[..., 2])
 
 
-def max_concurrence(alpha: float) -> float:
-    """Largest dominant concurrence reachable from pumping amplitude alpha."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    return MAX_NORMALIZED_CONCURRENCE * alpha**2
-
-
 def _unit_amplitudes(state: TruncatedState) -> np.ndarray:
     vec = state.as_array()
     nrm = np.linalg.norm(vec)
@@ -157,21 +150,3 @@ def entanglement_of_concurrence(c: float) -> float:
     if not 0.0 <= c <= 1.0:
         raise ValueError("concurrence must lie in [0, 1]")
     return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
-
-
-def eigenvalue_approximations(state: TruncatedState) -> tuple[float, float, float]:
-    """Closed-form eigenvalue estimates (l3, l1, l2) of the reduced density.
-
-    l3 ~ 4D/C^2 comes from dropping the cubic and quadratic terms of the
-    characteristic polynomial; l1, l2 = (1 +- sqrt(1 - C^2))/2 solve it
-    with D = 0.  Requires a state with nonzero concurrence.
-    """
-    vec = _unit_amplitudes(state)
-    csq = _full_concurrence_sq(*vec)
-    if csq == 0.0:
-        raise ValueError("eigenvalue approximations need nonzero concurrence")
-    if csq > 1.0:
-        raise ValueError("concurrence above 1 is outside the weak-pumping regime")
-    d = abs(vec[3] * vec[5] * vec[4]) ** 2
-    root = math.sqrt(1.0 - csq)
-    return 4.0 * d / csq, (1.0 + root) / 2.0, (1.0 - root) / 2.0

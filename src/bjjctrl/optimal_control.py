@@ -149,18 +149,8 @@ def objective(
     controls: ControlVector,
     prep: InitialPreparation | None = None,
     params: JunctionParams | None = None,
-    bounds: tuple[float, float] | None = None,
 ) -> float:
     """Final normalised dominant concurrence C(T)/alpha^2 of the controls."""
-    if bounds is not None:
-        u_max, j_max = bounds
-        if (
-            controls.u.min() < 0.0
-            or controls.j.min() < 0.0
-            or controls.u.max() > u_max + 1e-12
-            or controls.j.max() > j_max + 1e-12
-        ):
-            raise ValueError("controls violate the stated bounds")
     prep = prep if prep is not None else symmetric_preparation(0.1)
     params = params if params is not None else JunctionParams()
     y0, x0, alpha_sq, omega_eff = _prep_blocks(prep, params)
@@ -344,16 +334,10 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter):
     return u, j, value, iterations, stop
 
 
-def shortcut_seed(
-    duration: float,
-    segments: int,
-    bounds: tuple[float, float],
-    profile: shortcuts.ReferenceProfile | None = None,
-) -> ControlVector:
+def shortcut_seed(duration: float, segments: int, bounds: tuple[float, float]) -> ControlVector:
     """Fast-shortcut controls resampled to segment midpoints and clipped."""
-    profile = profile if profile is not None else shortcuts.profile_fast()
     mid = (np.arange(segments) + 0.5) / segments
-    u, j = shortcuts._controls_on(profile, duration, mid)
+    u, j = shortcuts._controls_on(shortcuts.profile_fast(), duration, mid)
     u, j = project(u, j, bounds)
     return ControlVector(u=u, j=j, duration=duration)
 
@@ -454,7 +438,6 @@ def minimum_time(
     bounds: tuple[float, float],
     segments: int = 100,
     epsilon: float = 0.005,
-    params: JunctionParams | None = None,
     *,
     prep: InitialPreparation | None = None,
     seeds: int = 8,
@@ -476,7 +459,7 @@ def minimum_time(
 
     def feasible(duration):
         res = maximize(
-            duration, bounds, segments, seeds, params,
+            duration, bounds, segments, seeds,
             prep=prep, base_seed=base_seed, max_iter=max_iter,
             extra_starts=tuple(
                 _resample_piecewise(cv, duration, segments) for cv in warm
@@ -514,7 +497,6 @@ def sweep(
     bounds: tuple[float, float],
     segments: int = 100,
     kappa_list=(0.0,),
-    params: JunctionParams | None = None,
     *,
     prep: InitialPreparation | None = None,
     seeds: int = 2,
@@ -536,9 +518,6 @@ def sweep(
         raise ValueError("duration grid and kappa list must be non-empty")
     if any(kappa < 0.0 for kappa in kappa_list):
         raise ValueError("loss rates must be >= 0")
-    params = params if params is not None else JunctionParams()
-    if params.kappa != 0.0:
-        raise ValueError("pass loss rates through kappa_list")
     prep = prep if prep is not None else symmetric_preparation(0.1)
 
     base = np.empty(durations.size)
@@ -549,7 +528,7 @@ def sweep(
         if prev is not None:
             extra = (_resample_piecewise(prev, t, segments),)
         res = maximize(
-            t, bounds, segments, seeds, params,
+            t, bounds, segments, seeds,
             prep=prep, base_seed=base_seed, max_iter=max_iter, extra_starts=extra,
         )
         base[i] = res.objective
@@ -561,9 +540,7 @@ def sweep(
     for kappa in kappa_list:
         scaled = base * np.exp(-kappa * durations)
         for i in check_idx:
-            direct = objective(
-                bests[i], prep, JunctionParams(params.omega, kappa)
-            )
+            direct = objective(bests[i], prep, JunctionParams(kappa=kappa))
             if abs(direct - scaled[i]) > 5e-3:
                 raise FloatingPointError(
                     f"lossy cross-check failed at T = {durations[i]:.3f}: "

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._quadrature import piecewise_simpson, simpson_pieces, simpson_uniform
-from .dynamics import SQRT2, ControlSchedule, TruncatedState
+from .dynamics import SQRT2, ControlSchedule
 
 #: Peak reference gap; the unit of energy throughout.
 E0_MAX = 1.0
@@ -101,30 +101,14 @@ class ReferenceProfile:
 class GaugePhaseRecord:
     """Gauge angle trace and the transfer phases.
 
-    ``theta`` is the final phase of c11, ``zeta`` the final phase of
-    c10*c01, and ``xi_minus`` the accumulated ground-path phase
-    Int E0/2 dt.  The gauge angle b(t) runs continuously from 0 to -pi/2.
+    ``theta`` is the final phase of c11 and ``zeta`` the final phase of
+    c10*c01.  The gauge angle b(t) runs continuously from 0 to -pi/2.
     """
 
     times: np.ndarray
     gauge_angle: np.ndarray
     theta: float
     zeta: float
-    xi_minus: float
-
-
-@dataclass(frozen=True)
-class TwoLevelState:
-    """Reduced two-quanta vector (c20 + c02, sqrt(2) c11) with its
-    accumulated nonlinearity phase; norm alpha^2 for the lossless
-    symmetric preparation."""
-
-    psi1: complex
-    psi2: complex
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(abs(self.psi1), abs(self.psi2))
 
 
 def _solve_exact(rows, rhs) -> np.ndarray:
@@ -290,13 +274,9 @@ def _transfer_phases(profile: ReferenceProfile, duration: float):
     def coupling_integrand(s):
         return _controls_on(profile, duration, s)[1]
 
-    def gap_integrand(s):
-        return 0.5 * profile.gap(s)
-
     theta = duration * piecewise_simpson(theta_integrand, edges)
     zeta = 2.0 * duration * piecewise_simpson(coupling_integrand, edges)
-    xi_minus = duration * piecewise_simpson(gap_integrand, edges)
-    return theta, zeta, xi_minus
+    return theta, zeta
 
 
 def counterdiabatic_controls(
@@ -308,14 +288,14 @@ def counterdiabatic_controls(
     ----------
     profile : ReferenceProfile
     duration : float
-        Transfer time T > 0.
+        Transfer time T, finite and > 0.
     samples : int
         Sample count of the emitted schedule (uniform grid on [0, T]).
 
     Returns the schedule together with the gauge/phase record of the run.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be finite and positive, got {duration!r}")
     if samples < 2:
         raise ValueError("need at least two schedule samples")
     s = np.linspace(0.0, 1.0, samples)
@@ -457,10 +437,7 @@ def phases(
     if duration < 0.0:
         raise ValueError("duration must be >= 0")
     if duration == 0.0:
-        return GaugePhaseRecord(
-            times=np.zeros(1), gauge_angle=np.zeros(1),
-            theta=0.0, zeta=0.0, xi_minus=0.0,
-        )
+        return GaugePhaseRecord(times=np.zeros(1), gauge_angle=np.zeros(1), theta=0.0, zeta=0.0)
     if schedule is not None:
         if abs(schedule.duration - duration) > 1e-9 * max(1.0, duration):
             raise ValueError("schedule duration does not match T")
@@ -469,25 +446,10 @@ def phases(
     else:
         s = np.linspace(0.0, 1.0, 4001)
         times = s * duration
-    theta, zeta, xi_minus = _transfer_phases(profile, duration)
+    theta, zeta = _transfer_phases(profile, duration)
     return GaugePhaseRecord(
         times=times,
         gauge_angle=_gauge_angle(profile, duration, s),
         theta=theta,
         zeta=zeta,
-        xi_minus=xi_minus,
-    )
-
-
-def two_level_reduce(state: TruncatedState, accumulated_u_phase: float) -> TwoLevelState:
-    """Reduced two-quanta vector e^{i Int U} (c20 + c02, sqrt(2) c11).
-
-    For the symmetric preparation this vector follows a two-level
-    Schroedinger equation with Hamiltonian 2*U_I*Sz - 4*J_I*Sx, which is
-    what the counterdiabatic construction actually steers.
-    """
-    ph = complex(math.cos(accumulated_u_phase), math.sin(accumulated_u_phase))
-    return TwoLevelState(
-        psi1=ph * (state.c20 + state.c02),
-        psi2=ph * SQRT2 * state.c11,
     )

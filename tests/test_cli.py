@@ -111,6 +111,13 @@ def test_shortcut_rejects_empty_junction():
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("duration", ["inf", "nan"])
+def test_shortcut_rejects_non_finite_duration(duration):
+    code, out, err = run_cli("shortcut", "--profile", "fast", "--T", duration)
+    assert code == 2 and out == ""
+    assert err == f"configuration error: duration must be finite and positive, got {duration}\n"
+
+
 def test_simulate_roundtrip(tmp_path):
     sched_file = tmp_path / "controls.csv"
     code, out, _ = run_cli(
@@ -192,6 +199,13 @@ def test_sweep_curves_and_determinism(tmp_path):
     np.testing.assert_allclose(
         lossy[:, 2], lossless[:, 2] * np.exp(-0.05 * lossless[:, 1]), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("grid", ["1:inf:1", "1:2:nan", "nan:2:1"])
+def test_sweep_rejects_non_finite_grid(capsys, grid):
+    code, out, err = main_in_process(capsys, "sweep", "--T", grid)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: duration grid")
 
 
 @pytest.mark.parametrize("argv", [

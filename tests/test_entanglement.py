@@ -8,11 +8,9 @@ from bjjctrl import (
     TruncatedState,
     concurrence,
     dominant_trace,
-    eigenvalue_approximations,
     entanglement_exact,
     entanglement_of_concurrence,
     initial_state,
-    max_concurrence,
     propagate,
     reduced_density,
     symmetric_preparation,
@@ -148,16 +146,9 @@ def test_dominant_trace_matches_scalar_route(rng):
         assert trace[i] == pytest.approx(cv.dominant, rel=1e-14)
 
 
-def test_max_concurrence_values():
-    assert max_concurrence(1.0) == pytest.approx(1.0 + SQRT2, abs=1e-12)
-    assert max_concurrence(0.1) == pytest.approx(0.0241421356, abs=1e-9)
-    with pytest.raises(ValueError):
-        max_concurrence(0.0)
-
-
 def test_bound_holds_along_shortcut(fast_run, original_run):
     for run in (fast_run, original_run):
-        ceiling = max_concurrence(run.alpha) * (1.0 + 1e-6)
+        ceiling = MAX_NORMALIZED_CONCURRENCE * run.alpha**2 * (1.0 + 1e-6)
         assert dominant_trace(run.trajectory.amplitudes).max() <= ceiling
 
 
@@ -219,25 +210,34 @@ def test_entropy_of_concurrence_domain():
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue approximations
+# weak-pumping eigenvalue estimates
+#
+# With D = 0 the characteristic cubic -l^3 + l^2 - (C^2/4) l + D = 0 has
+# the roots 0 and l1, l2 = (1 +- sqrt(1 - C^2))/2; for small D the third
+# root is about 4D/C^2.  C and D are those of the unit-norm amplitudes.
+
+def unit_concurrence_sq(state):
+    return (concurrence(state).full / np.linalg.norm(state.as_array()) ** 2) ** 2
+
 
 def test_lambda3_vanishes_without_triple_product():
     state = max_concurrence_state(0.1)  # c20 = c02 = 0 so D = 0
-    l3, l1, l2 = eigenvalue_approximations(state)
-    assert l3 == 0.0
-    assert l1 + l2 == pytest.approx(1.0, abs=1e-15)
-
-
-def test_zero_concurrence_rejected():
-    with pytest.raises(ValueError):
-        eigenvalue_approximations(TruncatedState(c00=1.0))
+    res = entanglement_exact(state)
+    root = math.sqrt(1.0 - unit_concurrence_sq(state))
+    assert res.triple_product == 0.0
+    want = ((1.0 + root) / 2.0, (1.0 - root) / 2.0, 0.0)
+    assert res.eigenvalues == pytest.approx(want, abs=1e-15)
 
 
 def test_lambda3_accuracy_on_mid_transfer_state(fast_run):
     n = fast_run.trajectory.times.size
     state = fast_run.trajectory.state(n // 2)
-    l3_app, l1_app, l2_app = eigenvalue_approximations(state)
-    exact = entanglement_exact(state).eigenvalues
+    res = entanglement_exact(state)
+    csq = unit_concurrence_sq(state)
+    root = math.sqrt(1.0 - csq)
+    l3_app = 4.0 * res.triple_product / csq
+    l1_app, l2_app = (1.0 + root) / 2.0, (1.0 - root) / 2.0
+    exact = res.eigenvalues
     assert exact[2] > 0.0
     assert 0.5 <= l3_app / exact[2] <= 2.0
     assert l3_app / l2_app < 10.0 * fast_run.alpha**4

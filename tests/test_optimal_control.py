@@ -123,12 +123,6 @@ def test_objective_matches_chained_propagation_property(problem):
     )
 
 
-def test_objective_rejects_bound_violation():
-    cv = ControlVector(np.full(10, 1.5), np.full(10, 0.1), 3.0)
-    with pytest.raises(ValueError, match="bounds"):
-        objective(cv, bounds=BOUNDS)
-
-
 def test_resampled_shortcut_recovers_ceiling(fast_run):
     # 1000 piecewise-constant segments track the smooth shortcut closely
     seed = shortcut_seed(fast_run.duration, 1000, (2.0, 2.0))  # no clipping

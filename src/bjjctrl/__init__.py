@@ -27,8 +27,8 @@ from .entanglement import (
     reduced_density,
 )
 from .shortcuts import (
-    GaugePhaseRecord,
     ReferenceProfile,
+    TransferPhases,
     counterdiabatic_controls,
     duration_lhs,
     estimate_min_duration,

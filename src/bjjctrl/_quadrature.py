@@ -31,15 +31,3 @@ def simpson_pieces(edges, points_per_unit=4000):
             n += 1
         yield np.linspace(lo, hi, n + 1), width / n
 
-
-def piecewise_simpson(fun, edges, points_per_unit=4000):
-    """Integrate ``fun`` over [edges[0], edges[-1]], one Simpson rule per piece.
-
-    ``fun`` must accept a vector of abscissae.  Splitting at the piece edges
-    keeps the rule's full convergence order when the integrand has kinks
-    there.
-    """
-    total = 0.0
-    for grid, dx in simpson_pieces(edges, points_per_unit):
-        total += simpson_uniform(fun(grid), dx)
-    return total

@@ -298,6 +298,9 @@ def _trace_table(traj, schedule, alpha, kappa):
 
 def cmd_duration(options) -> int:
     profile = _build_profile(options)
+    for key in ("grid_min", "grid_max", "grid_step"):
+        if not math.isfinite(options[key]):
+            raise ConfigError(f"{_flag(key)} must be finite, got {options[key]!r}")
     lo, hi, step = options["grid_min"], options["grid_max"], options["grid_step"]
     if not (0.0 < lo < hi and step > 0.0):
         raise ConfigError("grid bounds must satisfy 0 < min < max with step > 0")

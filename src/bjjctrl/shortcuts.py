@@ -17,6 +17,8 @@ phase of c10*c01, i.e. theta - zeta = -pi.  That phase-difference
 condition is an algebraic equation fixing the transfer duration T; this
 module solves it for the polynomial reference profile (slow) and for a
 plateau profile that hugs the speed estimate 2*pi/(sqrt(2)-1) (fast).
+The condition and both phases are Simpson sums over one per-profile
+table of E0 cos phi, (E0 sin phi)^2, E0 and phi' on fixed nodes.
 
 The gap is expressed in units of its peak value (so E0 <= 1) and times in
 the inverse of that peak.
@@ -32,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._quadrature import piecewise_simpson, simpson_pieces, simpson_uniform
+from ._quadrature import simpson_pieces, simpson_uniform
 from .dynamics import SQRT2, ControlSchedule
 
 #: Peak reference gap; the unit of energy throughout.
@@ -43,6 +45,9 @@ _HALF_PI = math.pi / 2.0
 #: Durations per (T x s) block of the phase condition; a block of 8 rows
 #: over the ~4000 Simpson nodes stays near a quarter megabyte.
 _LHS_CHUNK = 8
+
+#: Simpson nodes per unit of s in the phase node table.
+_POINTS_PER_UNIT = 4000
 
 
 @dataclass(frozen=True)
@@ -77,36 +82,26 @@ class PiecewisePoly:
 
 @dataclass(frozen=True)
 class ReferenceProfile:
-    """Mixing angle and gap of the reference path as functions of s = t/T."""
+    """Mixing angle phi and gap E0 of the reference path as piecewise
+    polynomials in s = t/T; ``angle(s, k)`` is the k-th derivative of phi
+    with respect to s, and likewise ``gap``."""
 
     kind: str
-    angle_poly: PiecewisePoly
-    gap_poly: PiecewisePoly
+    angle: PiecewisePoly
+    gap: PiecewisePoly
     knots: tuple[float, float, float] | None = None  # (s0, s1, s2) for "fast"
-    # points_per_unit -> phase-condition node table, filled by _lhs_table
-    _lhs_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def angle(self, s, order: int = 0):
-        return self.angle_poly(s, order)
-
-    def gap(self, s, order: int = 0):
-        return self.gap_poly(s, order)
+    # points_per_unit -> phase node table, filled by _node_table
+    _node_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.angle_poly.edges) | set(self.gap_poly.edges)))
+        return tuple(sorted(set(self.angle.edges) | set(self.gap.edges)))
 
 
 @dataclass(frozen=True)
-class GaugePhaseRecord:
-    """Gauge angle trace and the transfer phases.
+class TransferPhases:
+    """Final phases of a shortcut: ``theta`` of c11 and ``zeta`` of c10*c01."""
 
-    ``theta`` is the final phase of c11 and ``zeta`` the final phase of
-    c10*c01.  The gauge angle b(t) runs continuously from 0 to -pi/2.
-    """
-
-    times: np.ndarray
-    gauge_angle: np.ndarray
     theta: float
     zeta: float
 
@@ -204,7 +199,7 @@ def profile_original() -> ReferenceProfile:
         coeffs=((_HALF_PI, 0.0, 0.0, -2.0 * math.pi, 1.5 * math.pi),),
     )
     gap = PiecewisePoly(edges=(0.0, 1.0), coeffs=((E0_MAX, -E0_MAX),))
-    return ReferenceProfile(kind="original", angle_poly=angle, gap_poly=gap)
+    return ReferenceProfile(kind="original", angle=angle, gap=gap)
 
 
 def profile_fast(s0: float = 0.9, s1: float = 0.2, s2: float = 0.8) -> ReferenceProfile:
@@ -222,9 +217,7 @@ def profile_fast(s0: float = 0.9, s1: float = 0.2, s2: float = 0.8) -> Reference
         coeffs=(tuple(a_coeffs), (math.pi / 4.0,), tuple(b_coeffs)),
     )
     gap = PiecewisePoly(edges=(0.0, s0, 1.0), coeffs=((E0_MAX,), tuple(e_coeffs)))
-    return ReferenceProfile(
-        kind="fast", angle_poly=angle, gap_poly=gap, knots=(s0, s1, s2)
-    )
+    return ReferenceProfile(kind="fast", angle=angle, gap=gap, knots=(s0, s1, s2))
 
 
 def _controls_on(profile: ReferenceProfile, duration: float, s: np.ndarray):
@@ -247,41 +240,9 @@ def _controls_on(profile: ReferenceProfile, duration: float, s: np.ndarray):
     return u, j
 
 
-def _gauge_angle(profile: ReferenceProfile, duration: float, s: np.ndarray) -> np.ndarray:
-    """Continuous branch of b = atan2(dphi/dt, E0 sin phi) starting at 0."""
-    dphi = profile.angle(s, 1) / duration
-    plane = profile.gap(s) * np.sin(profile.angle(s))
-    b = np.arctan2(dphi, plane)
-    degenerate = np.hypot(dphi, plane) < 1e-12
-    if degenerate.any():
-        for i in np.flatnonzero(degenerate):
-            b[i] = b[i - 1] if i > 0 else 0.0
-    b = np.unwrap(b)
-    # A doubly-degenerate endpoint sits at a multiple of pi/2 (the angle
-    # rate dominates the vanishing in-plane field there); snap to it.
-    if degenerate.any():
-        idx = np.flatnonzero(degenerate)
-        b[idx] = np.round(b[idx] / _HALF_PI) * _HALF_PI
-    return b
-
-
-def _transfer_phases(profile: ReferenceProfile, duration: float):
-    edges = profile.breakpoints
-
-    def theta_integrand(s):
-        return 0.5 * profile.gap(s) * (1.0 - np.cos(profile.angle(s)))
-
-    def coupling_integrand(s):
-        return _controls_on(profile, duration, s)[1]
-
-    theta = duration * piecewise_simpson(theta_integrand, edges)
-    zeta = 2.0 * duration * piecewise_simpson(coupling_integrand, edges)
-    return theta, zeta
-
-
 def counterdiabatic_controls(
     profile: ReferenceProfile, duration: float, samples: int = 4001
-) -> tuple[ControlSchedule, GaugePhaseRecord]:
+) -> tuple[ControlSchedule, TransferPhases]:
     """Implementable control schedule (U_I, J_I) for the given profile.
 
     Parameters
@@ -292,7 +253,7 @@ def counterdiabatic_controls(
     samples : int
         Sample count of the emitted schedule (uniform grid on [0, T]).
 
-    Returns the schedule together with the gauge/phase record of the run.
+    Returns the schedule together with the transfer phases of the run.
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be finite and positive, got {duration!r}")
@@ -304,22 +265,22 @@ def counterdiabatic_controls(
     return schedule, phases(profile, duration, schedule)
 
 
-def _lhs_table(profile: ReferenceProfile, points_per_unit: int) -> list:
+def _node_table(profile: ReferenceProfile, points_per_unit: int) -> list:
     """Per Simpson piece: (E0 cos phi, (E0 sin phi)^2, E0, phi', node spacing).
 
     None of these depends on T, so each profile tabulates them once per
-    resolution and every later evaluation of the condition reuses them.
-    The table lives and dies with the profile object (the CLI builds a
-    new one per command).
+    resolution, and the phase condition and both transfer phases reuse
+    them for every T.  The table lives and dies with the profile object
+    (the CLI builds a new one per command).
     """
-    table = profile._lhs_tables.get(points_per_unit)
+    table = profile._node_tables.get(points_per_unit)
     if table is None:
         table = []
         for s, dx in simpson_pieces(profile.breakpoints, points_per_unit):
             phi = profile.angle(s)
             e0 = profile.gap(s)
             table.append((e0 * np.cos(phi), (e0 * np.sin(phi)) ** 2, e0, profile.angle(s, 1), dx))
-        profile._lhs_tables[points_per_unit] = table
+        profile._node_tables[points_per_unit] = table
     return table
 
 
@@ -336,7 +297,7 @@ def _lhs_block(table: list, durations: np.ndarray) -> np.ndarray:
 
 
 def duration_lhs(
-    profile: ReferenceProfile, duration, points_per_unit: int = 4000
+    profile: ReferenceProfile, duration, points_per_unit: int = _POINTS_PER_UNIT
 ) -> float | np.ndarray:
     """Left-hand side of the phase-difference condition at duration T.
 
@@ -346,16 +307,17 @@ def duration_lhs(
     finite where gap and angle close together.  Maximum concurrence is
     reached when this equals pi.
 
-    ``duration`` is a positive scalar (a float comes back) or an array of
-    them (an array of the same shape comes back).  T enters the integrand
+    ``duration`` is a finite positive scalar (a float comes back) or an
+    array of them (an array of the same shape comes back).  T enters the integrand
     only through phi'/T: phi, phi' and E0 on the piecewise Simpson nodes
     are tabulated once per profile, and the durations are integrated in
     blocks of a few at a time, so memory stays bounded for any count.
     """
     durations = np.asarray(duration, dtype=float)
-    if not np.all(durations > 0.0):
-        raise ValueError("duration must be positive")
-    table = _lhs_table(profile, points_per_unit)
+    bad = ~(np.isfinite(durations) & (durations > 0.0))
+    if bad.any():
+        raise ValueError(f"duration must be finite and positive, got {float(durations[bad][0])!r}")
+    table = _node_table(profile, points_per_unit)
     flat = durations.ravel()
     lhs = np.empty_like(flat)
     for i in range(0, flat.size, _LHS_CHUNK):
@@ -364,12 +326,16 @@ def duration_lhs(
 
 
 def _scan_points(start: float, stop: float, step: float):
-    """start, start + step, ... up to stop, accumulated one step at a time."""
-    yield start
-    t = start + step
-    while t <= stop + 1e-12:
+    """start, start + step, ... up to stop, accumulated one step at a time.
+    A step too small to move a point past its predecessor is an error."""
+    t = start
+    while True:
         yield t
-        t += step
+        t, prev = t + step, t
+        if t > stop + 1e-12:
+            return
+        if t == prev:
+            raise ValueError(f"scan step {step!r} does not advance past T = {prev!r}")
 
 
 def solve_duration(
@@ -386,9 +352,12 @@ def solve_duration(
     crossing; the profile's node table is built by the first call and
     reused by every scan block and bisection step.
     """
+    for name, value in zip(("start", "stop", "step"), scan):
+        if not math.isfinite(value):
+            raise ValueError(f"scan {name} must be finite, got {value!r}")
     start, stop, step = scan
     if not step > 0.0:
-        raise ValueError("scan step must be positive")
+        raise ValueError(f"scan step must be positive, got {step!r}")
     points = _scan_points(start, stop, step)
     bracket = None
     t_prev = f_prev = None
@@ -426,30 +395,20 @@ def phases(
     profile: ReferenceProfile,
     duration: float,
     schedule: ControlSchedule | None = None,
-) -> GaugePhaseRecord:
+) -> TransferPhases:
     """Transfer phases for a shortcut of length T.
 
-    theta = Int (E0/2)(1 - cos phi) dt and zeta = 2 Int J_I dt; at the
-    solved duration theta - zeta = -pi (mod 2 pi).  A schedule from
-    ``counterdiabatic_controls`` may be passed to reuse its time grid for
-    the gauge-angle trace.
+    theta = Int (E0/2)(1 - cos phi) dt and zeta = 2 Int J_I dt, summed on
+    the node table of ``duration_lhs``; at the solved duration
+    theta - zeta = -pi (mod 2 pi).  A schedule from
+    ``counterdiabatic_controls`` may be passed; it must span T.
     """
-    if duration < 0.0:
-        raise ValueError("duration must be >= 0")
-    if duration == 0.0:
-        return GaugePhaseRecord(times=np.zeros(1), gauge_angle=np.zeros(1), theta=0.0, zeta=0.0)
-    if schedule is not None:
-        if abs(schedule.duration - duration) > 1e-9 * max(1.0, duration):
-            raise ValueError("schedule duration does not match T")
-        s = schedule.times / duration
-        times = schedule.times
-    else:
-        s = np.linspace(0.0, 1.0, 4001)
-        times = s * duration
-    theta, zeta = _transfer_phases(profile, duration)
-    return GaugePhaseRecord(
-        times=times,
-        gauge_angle=_gauge_angle(profile, duration, s),
-        theta=theta,
-        zeta=zeta,
-    )
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be finite and positive, got {duration!r}")
+    if schedule is not None and abs(schedule.duration - duration) > 1e-9 * max(1.0, duration):
+        raise ValueError("schedule duration does not match T")
+    theta = zeta = 0.0
+    for e0_cos, e0_sin_sq, e0, rate, dx in _node_table(profile, _POINTS_PER_UNIT):
+        theta += simpson_uniform(0.5 * (e0 - e0_cos), dx)
+        zeta += simpson_uniform(np.sqrt(e0_sin_sq + (rate / duration) ** 2) / 4.0, dx)
+    return TransferPhases(float(duration * theta), float(2.0 * duration * zeta))

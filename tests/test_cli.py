@@ -75,6 +75,20 @@ def test_duration_without_crossing_fails_numerically():
     assert "crossing" in err
 
 
+@pytest.mark.parametrize("flags,named", [
+    (("--grid-max", "inf"), "--grid-max must be finite, got inf"),
+    (("--grid-min", "nan"), "--grid-min must be finite, got nan"),
+    (("--grid-step", "inf", "--out", "never.csv"), "--grid-step must be finite, got inf"),
+    (("--grid-step", "1e-17"), "scan step 1e-17 does not advance past T = 0.5"),
+])
+def test_duration_rejects_grid_that_cannot_be_scanned(tmp_path, monkeypatch, capsys, flags, named):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = main_in_process(capsys, "duration", "--profile", "fast", *flags)
+    assert code == 2 and out == ""
+    assert named in err
+    assert not (tmp_path / "never.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # shortcut + simulate
 
@@ -229,26 +243,37 @@ def test_optimiser_commands_reject_invalid_bounds(capsys, argv, bounds):
 #: part of simulate's config line, so the runs share one directory.
 CSV_SHA256 = [
     (("shortcut", "--profile", "fast", "--steps", "200", "--out", "shortcut.csv"),
-     "49390bbaaa069afb62e5c485d18f87081d6fd5e9326e2907f8209a0b6018d9a0"),
+     "49390bbaaa069afb62e5c485d18f87081d6fd5e9326e2907f8209a0b6018d9a0",
+     "f6fa3d9110daca8fbb2fbcaeffe5d0054ebd097ee713745aaaffc3757463adb6"),
     (("simulate", "--schedule", "shortcut.csv", "--steps", "200", "--out", "simulate.csv"),
-     "5ce2e029eda6f46561a291bfd63210312deadd2035e2bc7cb0e1a78d4ae9aaf7"),
+     "5ce2e029eda6f46561a291bfd63210312deadd2035e2bc7cb0e1a78d4ae9aaf7",
+     "2307b4aa11af8a89180767f93b4dd363e3c5674f5da2dd0babd05b96d2fe3361"),
     (("optimize", "--T", "3", "--segments", "10", "--seeds", "1", "--out", "optimize.csv"),
-     "0f8dc57fcc1b4715a3b294de0476a637288158c0c817960544625e4e9c6bf224"),
+     "0f8dc57fcc1b4715a3b294de0476a637288158c0c817960544625e4e9c6bf224",
+     "35a807b96c4cb8d5fdfa65bc984d142ebdc01babb8aafb740d91808d0aa69537"),
     (("sweep", "--T", "1:2:0.5", "--segments", "4", "--seeds", "1", "--max-iter", "5",
       "--out", "sweep.csv"),
-     "429f394ac835b7999630d685e0cc942553e23a81588135e41de4fa4bdad08274"),
+     "429f394ac835b7999630d685e0cc942553e23a81588135e41de4fa4bdad08274",
+     "91ad09edf203857e5c72eb427c526faa2cc8d530797751b64c2e7e03a662c716"),
     (("duration", "--profile", "fast", "--out", "duration.csv"),
-     "012dc7c6d8607acf3d9f33555ab14a7d9d7726593b6607cea7ddd8794d59e6f5"),
+     "012dc7c6d8607acf3d9f33555ab14a7d9d7726593b6607cea7ddd8794d59e6f5",
+     "16bfadfad622aafdda4a78cd307dd591cdfabfd9a36a6b4af199b22f0f335375"),
+    (("shortcut", "--profile", "original", "--steps", "200", "--out", "shortcut_original.csv"),
+     "355896995d91ce1f3d49172e8c28df4d59d66d0d40b80006415f7a9537201848",
+     "736acb2c0e6d340cf1aeb1192441b3be51ce4f41db7fc1be5aa9f82acfb21e1a"),
 ]
 
 
 def test_csv_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    """Each run's CSV and its stdout (T, theta and zeta of a shortcut
+    included) are pinned byte for byte."""
     monkeypatch.chdir(tmp_path)
-    for argv, digest in CSV_SHA256:
-        code, _, err = main_in_process(capsys, *argv)
+    for argv, csv_digest, stdout_digest in CSV_SHA256:
+        code, out, err = main_in_process(capsys, *argv)
         assert code == 0, err
         written = (tmp_path / argv[-1]).read_bytes()
-        assert hashlib.sha256(written).hexdigest() == digest, argv[0]
+        assert hashlib.sha256(written).hexdigest() == csv_digest, argv[0]
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest, argv[0]
 
 
 # ---------------------------------------------------------------------------

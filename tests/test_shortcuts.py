@@ -22,7 +22,7 @@ from bjjctrl import (
     solve_duration,
     symmetric_preparation,
 )
-from bjjctrl._quadrature import piecewise_simpson, simpson_uniform
+from bjjctrl._quadrature import simpson_pieces, simpson_uniform
 from bjjctrl.dynamics import SQRT2
 from bjjctrl.shortcuts import _LHS_CHUNK, PiecewisePoly, ReferenceProfile, _controls_on
 
@@ -95,8 +95,8 @@ def flat_profile(angle_value=math.pi / 4.0, gap_value=1.0):
     """Boundary-free reference with constant angle and gap."""
     return ReferenceProfile(
         kind="flat",
-        angle_poly=PiecewisePoly(edges=(0.0, 1.0), coeffs=((angle_value,),)),
-        gap_poly=PiecewisePoly(edges=(0.0, 1.0), coeffs=((gap_value,),)),
+        angle=PiecewisePoly(edges=(0.0, 1.0), coeffs=((angle_value,),)),
+        gap=PiecewisePoly(edges=(0.0, 1.0), coeffs=((gap_value,),)),
     )
 
 
@@ -212,13 +212,13 @@ def test_fast_profile_plateaus(fast_profile):
 
 def test_fast_profile_knot_continuity(fast_profile):
     # evaluate the adjoining branch polynomials exactly at the knots
-    angle = fast_profile.angle_poly
+    angle = fast_profile.angle
     for knot, left, right in ((0.2, 0, 1), (0.8, 1, 2)):
         for order in range(4):
             lo = polyval_d(angle.coeffs[left], knot, order)
             hi = polyval_d(angle.coeffs[right], knot, order)
             assert abs(lo - hi) <= 1e-10
-    gap = fast_profile.gap_poly
+    gap = fast_profile.gap
     for order in range(3):
         lo = polyval_d(gap.coeffs[0], 0.9, order)
         hi = polyval_d(gap.coeffs[1], 0.9, order)
@@ -264,17 +264,6 @@ def test_control_maxima_consistent_with_box_bounds(original_run, fast_run):
     assert original_run.schedule.u.max() <= 1.05
 
 
-def test_gauge_angle_boundaries(original_run, fast_run):
-    for run in (original_run, fast_run):
-        b = run.record.gauge_angle
-        assert abs(b[0]) <= 1e-8
-        assert abs(b[-1] + HALF_PI) <= 1e-8
-        # flat start: the angle rate vanishes at t = 0
-        h = run.record.times[1] - run.record.times[0]
-        assert abs(b[1] - b[0]) / h < 1e-2
-        assert np.all(np.abs(np.diff(b)) < 0.1)  # continuous branch, no jumps
-
-
 def test_counterdiabatic_controls_validation(fast_profile):
     with pytest.raises(ValueError):
         counterdiabatic_controls(fast_profile, 0.0)
@@ -306,7 +295,7 @@ def test_duration_lhs_linear_growth(original_profile, fast_profile):
         lhs_1k = duration_lhs(p, 1000.0)
         lhs_2k = duration_lhs(p, 2000.0)
         assert abs(lhs_2k / (2.0 * lhs_1k) - 1.0) < 2e-3
-        slope = piecewise_simpson(
+        slope = simpson(
             lambda s: 0.5 * p.gap(s) * (np.cos(p.angle(s)) + np.sin(p.angle(s)) - 1.0),
             p.breakpoints,
         )
@@ -314,9 +303,15 @@ def test_duration_lhs_linear_growth(original_profile, fast_profile):
 
 
 def test_duration_lhs_rejects_nonpositive_time(fast_profile):
-    for duration in (0.0, -1.0, math.nan, [1.0, 0.0, 2.0], [3.0] * _LHS_CHUNK + [-1.0]):
-        with pytest.raises(ValueError):
+    for duration in (0.0, -1.0, math.nan, math.inf, -math.inf, [1.0, 0.0, 2.0],
+                     [3.0] * _LHS_CHUNK + [-1.0], [1.0, math.inf]):
+        with pytest.raises(ValueError, match="duration must be finite and positive"):
             duration_lhs(fast_profile, np.array(duration))
+
+
+def simpson(fun, edges):
+    """Piecewise Simpson integral of ``fun`` on the library's nodes."""
+    return sum(simpson_uniform(fun(s), dx) for s, dx in simpson_pieces(edges))
 
 
 def lhs_oracle(profile, duration):
@@ -328,7 +323,7 @@ def lhs_oracle(profile, duration):
         dphi = profile.angle(s, 1) / duration
         return 0.5 * (e0 * np.cos(phi) + np.sqrt((e0 * np.sin(phi)) ** 2 + dphi**2) - e0)
 
-    return duration * piecewise_simpson(integrand, profile.breakpoints)
+    return duration * simpson(integrand, profile.breakpoints)
 
 
 @st.composite
@@ -377,10 +372,17 @@ def test_solve_duration_reports_missing_bracket(fast_profile):
         solve_duration(fast_profile, scan=(0.5, 5.0, 0.5))
 
 
-@pytest.mark.parametrize("step", [0.0, -0.5, math.nan])
+@pytest.mark.parametrize("step", [0.0, -0.5, math.nan, math.inf, 1e-17])
 def test_solve_duration_rejects_scan_that_never_advances(fast_profile, step):
+    # 0.5 + 1e-17 == 0.5: the scan would yield 0.5 forever
     with pytest.raises(ValueError, match="step"):
         solve_duration(fast_profile, scan=(0.5, 5.0, step))
+
+
+@pytest.mark.parametrize("scan", [(math.inf, 5.0, 0.5), (0.5, math.inf, 0.5), (math.nan, 5.0, 0.5)])
+def test_solve_duration_rejects_nonfinite_scan(fast_profile, scan):
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_duration(fast_profile, scan=scan)
 
 
 def test_estimate_identity():
@@ -406,9 +408,42 @@ def test_phase_difference_condition(run_name, request):
     assert math.cos(rec.theta - rec.zeta) == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_zero_length_transfer_has_no_phases(fast_profile):
-    rec = phases(fast_profile, 0.0)
-    assert rec.theta == rec.zeta == 0.0
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+def test_phases_rejects_nonfinite_or_nonpositive_time(fast_profile, duration):
+    with pytest.raises(ValueError, match="duration must be finite and positive"):
+        phases(fast_profile, duration)
+
+
+@st.composite
+def profiles_and_duration(draw):
+    if draw(st.booleans()):
+        s1 = draw(st.floats(0.05, 0.45))
+        s2 = draw(st.floats(s1 + 0.05, 0.95))
+        profile = profile_fast(draw(st.floats(0.05, 0.95)), s1, s2)
+    else:
+        profile = profile_original()
+    return profile, draw(st.floats(0.5, 2000.0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(profiles_and_duration())
+def test_phases_and_condition_share_one_integrand(case):
+    """theta and zeta are the Simpson integrals of T (E0/2)(1 - cos phi) and
+    2 T J_I, and the phase condition's LHS is their difference zeta - theta."""
+    profile, duration = case
+    rec = phases(profile, duration)
+    theta = duration * simpson(
+        lambda s: 0.5 * profile.gap(s) * (1.0 - np.cos(profile.angle(s))), profile.breakpoints
+    )
+    zeta = 2.0 * duration * simpson(
+        lambda s: np.sqrt((profile.gap(s) * np.sin(profile.angle(s))) ** 2
+                          + (profile.angle(s, 1) / duration) ** 2) / 4.0,
+        profile.breakpoints,
+    )
+    assert rec.theta == pytest.approx(theta, rel=1e-13, abs=0.0)
+    assert rec.zeta == pytest.approx(zeta, rel=1e-13, abs=0.0)
+    lhs = duration_lhs(profile, duration)
+    assert abs(lhs - (rec.zeta - rec.theta)) <= 1e-12 * max(1.0, rec.theta, rec.zeta)
 
 
 def test_zeta_matches_product_phase(fast_run):

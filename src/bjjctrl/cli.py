@@ -304,6 +304,8 @@ def cmd_duration(options) -> int:
     lo, hi, step = options["grid_min"], options["grid_max"], options["grid_step"]
     if not (0.0 < lo < hi and step > 0.0):
         raise ConfigError("grid bounds must satisfy 0 < min < max with step > 0")
+    # refuses a grid of more than MAX_SCAN_POINTS points, so the curve
+    # below stays bounded too
     root = solve_duration(profile, scan=(lo, hi, step))
     if options["out"]:
         durations = np.append(np.arange(lo, hi + 1e-12, step), root)

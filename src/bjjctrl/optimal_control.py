@@ -13,8 +13,10 @@ in a frame where it needs little work:
 - The one-quantum block is diagonal in (c10 +- c01)/sqrt(2), so its final
   amplitudes have a closed form in the integrated coupling dt sum(j).
 
-Maximisation uses projected gradient ascent with Armijo backtracking and
-adjoint gradients (one costate recursion back through the rotations, then
+Maximisation uses spectral projected gradient ascent (Barzilai-Borwein
+steps under a nonmonotone Armijo test; Birgin, Martinez & Raydan, SIAM J.
+Optim. 10, 1196 (2000)) with adjoint gradients (one costate recursion back
+through the rotations of the accepted trial's forward pass, then
 elementwise contractions with their derivatives); multistart plus a
 shortcut-informed seed guards against local optima, and all starts ascend
 together as one batch.  A bisection on the feasibility predicate locates
@@ -44,6 +46,9 @@ _ARMIJO_C1 = 1e-4
 _PG_TOL = 1e-6
 _FLAT_TOL = 1e-10
 _FLAT_WINDOW = 20
+_MEMORY = 10  # objectives the nonmonotone Armijo test looks back over
+_MIN_STEP = 1e-3
+_MAX_STEP = 1e3
 
 
 @dataclass(frozen=True)
@@ -137,12 +142,16 @@ def _forward(uu, jj, duration, y0, x0, omega_eff):
     return rot, xs, phase, c10, c01, phase * xs[-1, :, 1, 0]
 
 
-def _objective_value(uu, jj, duration, y0, x0, alpha_sq, omega_eff):
-    """C(T)/alpha^2 = 2 |c11 - c10 c01| / alpha^2 at T of each row of
-    controls, shape (starts, segments)."""
-    _, _, _, c10, c01, c11 = _forward(uu, jj, duration, y0, x0, omega_eff)
+def _value(fwd, alpha_sq):
+    """C(T)/alpha^2 = 2 |c11 - c10 c01| / alpha^2 of a forward pass."""
+    *_, c10, c01, c11 = fwd
     w = c11 - c10 * c01
     return 2.0 * np.hypot(w.real, w.imag) / alpha_sq
+
+
+def _objective_value(uu, jj, duration, y0, x0, alpha_sq, omega_eff):
+    """C(T)/alpha^2 at T of each row of controls, shape (starts, segments)."""
+    return _value(_forward(uu, jj, duration, y0, x0, omega_eff), alpha_sq)
 
 
 def objective(
@@ -177,22 +186,29 @@ def _h_div(y):
 
 
 def _objective_and_gradient(uu, jj, duration, y0, x0, alpha_sq, omega_eff):
-    """Objective and its (u, j) gradient for each row of controls.
+    """Objective and its (u, j) gradient for each row of controls."""
+    return _gradient(uu, jj, duration, alpha_sq, _forward(uu, jj, duration, y0, x0, omega_eff))
 
-    Adjoint method: after the forward chain, one costate recursion runs
-    back through the rotations; the contractions with their derivatives
-    then cover every segment and start at once, elementwise.  A start
-    with w = 0 has no ascent direction and gets a zero gradient.
+
+def _gradient(uu, jj, duration, alpha_sq, fwd):
+    """Objective and (u, j) gradient of each row of controls, given the
+    ``_forward`` pass ``fwd`` of those same controls.
+
+    Adjoint method: one costate recursion runs back through the forward
+    pass's rotations; the contractions with their derivatives then cover
+    every segment and start at once, elementwise.  A start with w = 0 has
+    no ascent direction and gets a zero gradient, and so does one whose
+    |w| is subnormal, where the complex division by |w| would overflow.
     """
     starts, n = uu.shape
     dt = duration / n
-    rot, xs, phase, c10, c01, c11 = _forward(uu, jj, duration, y0, x0, omega_eff)
+    rot, xs, phase, c10, c01, c11 = fwd
     w = c11 - c10 * c01
     modulus = np.hypot(w.real, w.imag)
     value = 2.0 * modulus / alpha_sq
     gu = np.zeros((starts, n))
     gj = np.zeros((starts, n))
-    live = np.flatnonzero(modulus)
+    live = np.flatnonzero(modulus >= np.finfo(float).tiny)
     if live.size == 0:
         return value, gu, gj
     if live.size < starts:
@@ -250,25 +266,49 @@ def project(u, j, bounds):
     return np.clip(u, 0.0, u_max), np.clip(j, 0.0, j_max)
 
 
+def _take(fwd, rows):
+    """Rows ``rows`` of a ``_forward`` pass."""
+    rot, xs, *per_row = fwd
+    return (rot[:, rows], xs[:, rows], *(a[rows] for a in per_row))
+
+
+def _join(parts):
+    """``_forward`` passes of disjoint rows, stacked in the given order."""
+    rot, xs, *per_row = zip(*parts)
+    return (
+        np.concatenate(rot, axis=1),
+        np.concatenate(xs, axis=1),
+        *(np.concatenate(a) for a in per_row),
+    )
+
+
 def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter):
-    """Projected gradient ascent with Armijo backtracking, all starts at once.
+    """Spectral projected gradient ascent, all starts at once.
 
     Row i of ``u0`` and ``j0`` (shape (starts, segments)) is one start.
-    Every start keeps its own step length, backtracking, flat-window
-    history and stop reason, so it takes the same iterates as it would
-    alone; a start leaves the batch once it stops.  Returns per start the
-    controls, the objective, the iteration count and the stop reason:
-    "projected_gradient", "no_ascent_step" (the line search found no
-    ascent at its resolution), "flat" or "max_iter" (not converged).
+    Each start's trial step is its own Barzilai-Borwein step
+    s.s / (-s.y), from its last move s and the change y of its gradient,
+    clipped to [_MIN_STEP, _MAX_STEP]; it is _MAX_STEP where s.y >= 0 and
+    1 at the first iteration.  The step halves until the nonmonotone
+    Armijo test against the lowest of the start's last _MEMORY objectives
+    holds, and the accepted trial's forward pass feeds the gradient.
+    Every start keeps its own step, history and stop reason, so it takes
+    the same iterates as it would alone; a start leaves the batch once it
+    stops.  Returns per start its best controls and their objective (a
+    nonmonotone search can end below them), the iteration count and the
+    stop reason: "projected_gradient", "no_ascent_step" (the line search
+    found no step at its resolution), "flat" or "max_iter" (not
+    converged).
     """
     u, j = project(np.asarray(u0, float), np.asarray(j0, float), bounds)
-    value, gu, gj = _objective_and_gradient(u, j, duration, y0, x0, alpha_sq, omega_eff)
-    starts = value.size
+    best, gu, gj = _objective_and_gradient(u, j, duration, y0, x0, alpha_sq, omega_eff)
+    best_u, best_j = u.copy(), j.copy()
+    starts = best.size
     step = np.ones(starts)
-    # each start's last _FLAT_WINDOW + 1 objectives; iteration i in column
-    # i % (_FLAT_WINDOW + 1)
-    history = np.empty((starts, _FLAT_WINDOW + 1))
-    history[:, 0] = value
+    # each start's last _FLAT_WINDOW + 1 objectives, iteration i in column
+    # i % (_FLAT_WINDOW + 1); the columns of iterations before 0 hold the
+    # start's objective
+    history = np.repeat(best[:, None], _FLAT_WINDOW + 1, axis=1)
     iterations = np.full(starts, max_iter)
     stop = ["max_iter"] * starts
     active = np.arange(starts)
@@ -288,14 +328,14 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter):
         finish(active[done], it, "projected_gradient")
         keep = ~done
         active, ua, ja, ga, ha = active[keep], ua[keep], ja[keep], ga[keep], ha[keep]
-        va = value[active]
+        recent = (it - 1 - np.arange(_MEMORY)) % (_FLAT_WINDOW + 1)
+        ref = history[active[:, None], recent].min(axis=1)
 
-        # backtracking in lock step: a start leaves the search once it accepts
+        # backtracking in lock step: a start leaves the search once it
+        # accepts, and the accepted rows are kept in the order they accept
         s = step[active]
-        accepted = np.zeros(active.size, dtype=bool)
-        cu = np.empty_like(ua)
-        cj = np.empty_like(ja)
         search = np.arange(active.size)
+        accepted = []  # per round: the accepting rows, their controls and forward pass
         for _ in range(60):
             if search.size == 0:
                 break
@@ -304,34 +344,42 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter):
                 ja[search] + s[search, None] * ha[search],
                 bounds,
             )
-            cand = _objective_value(tu, tj, duration, y0, x0, alpha_sq, omega_eff)
+            trial = _forward(tu, tj, duration, y0, x0, omega_eff)
+            cand = _value(trial, alpha_sq)
             gain = np.sum(ga[search] * (tu - ua[search]), axis=1) + np.sum(
                 ha[search] * (tj - ja[search]), axis=1
             )
-            ok = (cand >= va[search] + _ARMIJO_C1 * gain) & (cand > va[search])
-            hit = search[ok]
-            accepted[hit] = True
-            cu[hit], cj[hit] = tu[ok], tj[ok]
+            ok = (cand >= ref[search] + _ARMIJO_C1 * gain) & (cand > ref[search])
+            if ok.any():
+                accepted.append((search[ok], tu[ok], tj[ok], _take(trial, ok)))
             search = search[~ok]
             s[search] *= 0.5
-        finish(active[~accepted], it, "no_ascent_step")
-        active, cu, cj, s = active[accepted], cu[accepted], cj[accepted], s[accepted]
-        if active.size == 0:
+        finish(active[search], it, "no_ascent_step")
+        if not accepted:
             break
+        order, cu, cj, fwd = zip(*accepted)
+        order = np.concatenate(order)
+        active, ua, ja, ga, ha = active[order], ua[order], ja[order], ga[order], ha[order]
+        cu, cj = np.concatenate(cu), np.concatenate(cj)
+        va, cgu, cgj = _gradient(cu, cj, duration, alpha_sq, _join(fwd))
 
-        u[active], j[active] = cu, cj
-        value[active], gu[active], gj[active] = _objective_and_gradient(
-            cu, cj, duration, y0, x0, alpha_sq, omega_eff
-        )
-        step[active] = np.minimum(2.0 * s, 1e3)
-        history[active, it % (_FLAT_WINDOW + 1)] = value[active]
+        su, sj = cu - ua, cj - ja
+        sy = np.sum(su * (cgu - ga), axis=1) + np.sum(sj * (cgj - ha), axis=1)
+        bb = np.full(active.size, _MAX_STEP)
+        curved = sy < 0.0
+        bb[curved] = (np.sum(su * su, axis=1) + np.sum(sj * sj, axis=1))[curved] / -sy[curved]
+        step[active] = np.clip(bb, _MIN_STEP, _MAX_STEP)
+        u[active], j[active], gu[active], gj[active] = cu, cj, cgu, cgj
+        up = va > best[active]
+        best_u[active[up]], best_j[active[up]], best[active[up]] = cu[up], cj[up], va[up]
+
+        history[active, it % (_FLAT_WINDOW + 1)] = va
         if it >= _FLAT_WINDOW:
-            va = value[active]
             old = history[active, (it + 1) % (_FLAT_WINDOW + 1)]  # iteration it - window
             flat = np.abs(va - old) <= _FLAT_TOL * np.maximum(1.0, np.abs(va))
             finish(active[flat], it, "flat")
             active = active[~flat]
-    return u, j, value, iterations, stop
+    return best_u, best_j, best, iterations, stop
 
 
 def shortcut_seed(duration: float, segments: int, bounds: tuple[float, float]) -> ControlVector:
@@ -362,8 +410,8 @@ def maximize(
     together with projected gradients, and returns the best; ties go to
     the earlier start.  Identical inputs give identical results.
     """
-    if duration < 0.0:
-        raise ValueError("duration must be >= 0")
+    if not (math.isfinite(duration) and duration >= 0.0):
+        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
     if segments < 1:
         raise ValueError("need at least one segment")
     if seeds < 0:

@@ -46,6 +46,10 @@ _HALF_PI = math.pi / 2.0
 #: over the ~4000 Simpson nodes stays near a quarter megabyte.
 _LHS_CHUNK = 8
 
+#: Most points a duration scan may hold: about 25 s of phase-condition
+#: evaluations, and an 8 MB grid for ``duration --out``.
+MAX_SCAN_POINTS = 1_000_000
+
 #: Simpson nodes per unit of s in the phase node table.
 _POINTS_PER_UNIT = 4000
 
@@ -350,7 +354,8 @@ def solve_duration(
     scan evaluates its points in blocks of a few durations per
     ``duration_lhs`` call and stops after the first block that holds a
     crossing; the profile's node table is built by the first call and
-    reused by every scan block and bisection step.
+    reused by every scan block and bisection step.  A scan of more than
+    ``MAX_SCAN_POINTS`` points is refused before any evaluation.
     """
     for name, value in zip(("start", "stop", "step"), scan):
         if not math.isfinite(value):
@@ -358,6 +363,12 @@ def solve_duration(
     start, stop, step = scan
     if not step > 0.0:
         raise ValueError(f"scan step must be positive, got {step!r}")
+    if start + step == start:
+        raise ValueError(f"scan step {step!r} does not advance past T = {start!r}")
+    if (stop - start) / step > MAX_SCAN_POINTS:
+        raise ValueError(
+            f"scan step {step!r} gives more than {MAX_SCAN_POINTS} points on [{start!r}, {stop!r}]"
+        )
     points = _scan_points(start, stop, step)
     bracket = None
     t_prev = f_prev = None

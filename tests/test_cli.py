@@ -89,6 +89,18 @@ def test_duration_rejects_grid_that_cannot_be_scanned(tmp_path, monkeypatch, cap
     assert not (tmp_path / "never.csv").exists()
 
 
+def test_duration_refuses_grid_of_too_many_points(tmp_path, monkeypatch, capsys):
+    # 0.5 + 1e-15 > 0.5, so the scan would advance through about 1.5e16
+    # points below the root; only the point count stops it and its --out grid
+    monkeypatch.chdir(tmp_path)
+    code, out, err = main_in_process(
+        capsys, "duration", "--profile", "fast", "--grid-step", "1e-15", "--out", "never.csv",
+    )
+    assert code == 2 and out == ""
+    assert "scan step 1e-15 gives more than 1000000 points" in err
+    assert not (tmp_path / "never.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # shortcut + simulate
 
@@ -249,12 +261,12 @@ CSV_SHA256 = [
      "5ce2e029eda6f46561a291bfd63210312deadd2035e2bc7cb0e1a78d4ae9aaf7",
      "2307b4aa11af8a89180767f93b4dd363e3c5674f5da2dd0babd05b96d2fe3361"),
     (("optimize", "--T", "3", "--segments", "10", "--seeds", "1", "--out", "optimize.csv"),
-     "0f8dc57fcc1b4715a3b294de0476a637288158c0c817960544625e4e9c6bf224",
-     "35a807b96c4cb8d5fdfa65bc984d142ebdc01babb8aafb740d91808d0aa69537"),
+     "9f12f9b96b9e285437e5418e2e903d0f4b3519149f40afeed5f7b22daec467be",
+     "8957da0ceda2dd3836ec6e678282dc8e1c654c06a28404361f809d097b0b7998"),
     (("sweep", "--T", "1:2:0.5", "--segments", "4", "--seeds", "1", "--max-iter", "5",
       "--out", "sweep.csv"),
-     "429f394ac835b7999630d685e0cc942553e23a81588135e41de4fa4bdad08274",
-     "91ad09edf203857e5c72eb427c526faa2cc8d530797751b64c2e7e03a662c716"),
+     "1604e34995462854eba0d11d465c1cb04589ca61651a5e24040c008b631f853e",
+     "91becc418934ec541b76d6dc625b32a9bf3dfef1f3a6dea8eb03b4972cae1ddc"),
     (("duration", "--profile", "fast", "--out", "duration.csv"),
      "012dc7c6d8607acf3d9f33555ab14a7d9d7726593b6607cea7ddd8794d59e6f5",
      "16bfadfad622aafdda4a78cd307dd591cdfabfd9a36a6b4af199b22f0f335375"),
@@ -370,6 +382,15 @@ def test_alpha_must_be_positive(capsys, argv, alpha):
     code, out, err = main_in_process(capsys, *argv, "--alpha", alpha)
     assert code == 2 and out == ""
     assert "alpha" in err
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+def test_optimize_rejects_duration_that_is_not_finite_and_nonnegative(capsys, duration):
+    code, out, err = main_in_process(
+        capsys, "optimize", f"--T={duration}", "--segments", "4", "--seeds", "1",
+    )
+    assert code == 2 and out == ""
+    assert f"duration must be finite and >= 0, got {float(duration)!r}" in err
 
 
 def test_optimize_rejects_negative_max_iter(capsys):

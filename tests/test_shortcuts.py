@@ -22,6 +22,7 @@ from bjjctrl import (
     solve_duration,
     symmetric_preparation,
 )
+from bjjctrl import shortcuts
 from bjjctrl._quadrature import simpson_pieces, simpson_uniform
 from bjjctrl.dynamics import SQRT2
 from bjjctrl.shortcuts import _LHS_CHUNK, PiecewisePoly, ReferenceProfile, _controls_on
@@ -377,6 +378,20 @@ def test_solve_duration_rejects_scan_that_never_advances(fast_profile, step):
     # 0.5 + 1e-17 == 0.5: the scan would yield 0.5 forever
     with pytest.raises(ValueError, match="step"):
         solve_duration(fast_profile, scan=(0.5, 5.0, step))
+
+
+def test_solve_duration_refuses_scan_of_too_many_points(fast_profile, monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("the point count must be checked before scanning")
+
+    monkeypatch.setattr(shortcuts, "duration_lhs", no_evaluation)
+    # 0.5 + 1e-15 > 0.5, so the scan would advance through about 1.5e16
+    # points below the root; only the point count stops it
+    with pytest.raises(ValueError, match="scan step 1e-15 gives more than"):
+        solve_duration(fast_profile, scan=(0.5, 300.0, 1e-15))
+    one_past_cap = 0.5 + 0.5 * (shortcuts.MAX_SCAN_POINTS + 1)
+    with pytest.raises(ValueError, match="scan step 0.5 gives more than"):
+        solve_duration(fast_profile, scan=(0.5, one_past_cap, 0.5))
 
 
 @pytest.mark.parametrize("scan", [(math.inf, 5.0, 0.5), (0.5, math.inf, 0.5), (math.nan, 5.0, 0.5)])

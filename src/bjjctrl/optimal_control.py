@@ -20,11 +20,14 @@ through the rotations of the accepted trial's forward pass, then
 elementwise contractions with their derivatives); multistart plus a
 shortcut-informed seed guards against local optima, and all starts ascend
 together as one batch.  A bisection on the feasibility predicate locates
-the minimum duration that reaches the concurrence ceiling 1 + sqrt(2).
+the minimum duration that reaches the concurrence ceiling 1 + sqrt(2);
+each feasibility probe stops its ascent as soon as one start reaches the
+target.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -49,6 +52,8 @@ _FLAT_WINDOW = 20
 _MEMORY = 10  # objectives the nonmonotone Armijo test looks back over
 _MIN_STEP = 1e-3
 _MAX_STEP = 1e3
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -102,44 +107,42 @@ def _prep_blocks(prep: InitialPreparation, params: JunctionParams):
     return y0, x0, prep.alpha_sq, effective_frequency(params)
 
 
-def _angles(uu, jj, dt):
-    """Segment-major controls u, j, the rotation angles
-    y = dt sqrt(u^2 + 4 j^2) and s = sin(y) / sqrt(u^2 + 4 j^2)."""
-    u, j = uu.T, jj.T
-    y = dt * np.sqrt(u * u + 4.0 * j * j)
-    return u, j, y, dt * np.sinc(y / np.pi)  # sinc keeps s regular at y = 0
+def _forward(uj, duration, y0, x0, omega_eff):
+    """Segment rotations, the (S, c11) states they chain, the rotation
+    angles, and the final amplitudes c10, c01 and c11 of each row of
+    controls.
 
-
-def _forward(uu, jj, duration, y0, x0, omega_eff):
-    """Segment rotations, the (S, c11) states they chain, and the final
-    amplitudes c10, c01 and c11 of each row of controls.
-
-    ``uu`` and ``jj`` hold one row of controls per start, shape
-    (starts, segments).  Segment k maps (S, c11) by q_k R_k with
-    q_k = exp(-i (u_k + 2 omega) dt); the phases multiply out to one per
-    start, so only the rotations R_k are chained.  They come back
-    segment-major, (segments, starts, 2, 2), so that one stacked product
-    per segment advances every start; the states are stacked
-    (segments + 1, starts, 2, 1) columns, the initial ones first.  The
-    one-quantum block depends on the coupling only through
+    ``uj`` holds one row of controls per start, shape (starts, 2, segments),
+    u in ``uj[:, 0]`` and j in ``uj[:, 1]``.  Segment k maps (S, c11) by
+    q_k R_k with q_k = exp(-i (u_k + 2 omega) dt); the phases multiply out
+    to one per start, so only the rotations R_k, of angle
+    y = dt sqrt(u^2 + 4 j^2), are chained.  They come back segment-major,
+    (segments, starts, 2, 2), so that one stacked product per segment
+    advances every start; the states are stacked (segments + 1, starts,
+    2, 1) columns, the initial ones first, and y and
+    s = sin(y) / sqrt(u^2 + 4 j^2) are segment-major too, (segments, starts).
+    The one-quantum block depends on the coupling only through
     Theta = dt sum(j), so its final amplitudes have a closed form.
     """
-    starts, n = uu.shape
+    starts, _, n = uj.shape
     dt = duration / n
-    u, j, y, s = _angles(uu, jj, dt)
+    u, j = uj[:, 0].T, uj[:, 1].T
+    y = dt * np.sqrt(u * u + 4.0 * j * j)
+    s = dt * np.sinc(y / np.pi)  # sinc keeps s regular at y = 0
     rot = np.zeros((n, starts, 2, 2), dtype=complex)
     rot.real[..., 0, 0] = rot.real[..., 1, 1] = np.cos(y)
     rot.imag[..., 0, 0] = -s * u
     rot.imag[..., 1, 1] = s * u
     rot.imag[..., 0, 1] = rot.imag[..., 1, 0] = 2.0 * s * j
     xs = _chain(rot, np.repeat(x0[None, :, None], starts, axis=0))
-    phase = np.exp(-1j * (dt * uu.sum(axis=1) + 2.0 * omega_eff * duration))
-    theta = dt * jj.sum(axis=1)
+    sums = uj.sum(axis=2)
+    phase = np.exp(-1j * (dt * sums[:, 0] + 2.0 * omega_eff * duration))
+    theta = dt * sums[:, 1]
     cos, isin = np.cos(theta), 1j * np.sin(theta)
     turn = np.exp(-1j * omega_eff * duration)
     c10 = turn * (cos * y0[0] + isin * y0[1])
     c01 = turn * (isin * y0[0] + cos * y0[1])
-    return rot, xs, phase, c10, c01, phase * xs[-1, :, 1, 0]
+    return rot, xs, y, s, phase, c10, c01, phase * xs[-1, :, 1, 0]
 
 
 def _value(fwd, alpha_sq):
@@ -151,7 +154,7 @@ def _value(fwd, alpha_sq):
 
 def _objective_value(uu, jj, duration, y0, x0, alpha_sq, omega_eff):
     """C(T)/alpha^2 at T of each row of controls, shape (starts, segments)."""
-    return _value(_forward(uu, jj, duration, y0, x0, omega_eff), alpha_sq)
+    return _value(_forward(np.stack((uu, jj), axis=1), duration, y0, x0, omega_eff), alpha_sq)
 
 
 def objective(
@@ -187,12 +190,14 @@ def _h_div(y):
 
 def _objective_and_gradient(uu, jj, duration, y0, x0, alpha_sq, omega_eff):
     """Objective and its (u, j) gradient for each row of controls."""
-    return _gradient(uu, jj, duration, alpha_sq, _forward(uu, jj, duration, y0, x0, omega_eff))
+    uj = np.stack((uu, jj), axis=1)
+    value, grad = _gradient(uj, duration, alpha_sq, _forward(uj, duration, y0, x0, omega_eff))
+    return value, grad[:, 0], grad[:, 1]
 
 
-def _gradient(uu, jj, duration, alpha_sq, fwd):
-    """Objective and (u, j) gradient of each row of controls, given the
-    ``_forward`` pass ``fwd`` of those same controls.
+def _gradient(uj, duration, alpha_sq, fwd):
+    """Objective and gradient, shaped like ``uj``, of each row of controls,
+    given the ``_forward`` pass ``fwd`` of those same controls.
 
     Adjoint method: one costate recursion runs back through the forward
     pass's rotations; the contractions with their derivatives then cover
@@ -200,20 +205,21 @@ def _gradient(uu, jj, duration, alpha_sq, fwd):
     no ascent direction and gets a zero gradient, and so does one whose
     |w| is subnormal, where the complex division by |w| would overflow.
     """
-    starts, n = uu.shape
+    starts, _, n = uj.shape
     dt = duration / n
-    rot, xs, phase, c10, c01, c11 = fwd
+    rot, xs, y, s, phase, c10, c01, c11 = fwd
     w = c11 - c10 * c01
     modulus = np.hypot(w.real, w.imag)
     value = 2.0 * modulus / alpha_sq
-    gu = np.zeros((starts, n))
-    gj = np.zeros((starts, n))
+    grad = np.zeros((starts, 2, n))
     live = np.flatnonzero(modulus >= np.finfo(float).tiny)
     if live.size == 0:
-        return value, gu, gj
+        return value, grad
+    rows = slice(None)
     if live.size < starts:
-        uu, jj, rot, xs, phase = uu[live], jj[live], rot[:, live], xs[:, live], phase[live]
-        w, c10, c01, c11 = w[live], c10[live], c01[live], c11[live]
+        rows = live
+        uj, rot, xs, y, s = uj[live], rot[:, live], xs[:, live], y[:, live], s[:, live]
+        phase, w, c10, c01, c11 = phase[live], w[live], c10[live], c01[live], c11[live]
     # d value = Re(pref dw), and dw/du_k, dw/dj_k hold phase lam_k R_k' x_k
     # with lam_k = e_1^T R_{n-1} ... R_{k+1}; the phase's own u-derivative
     # adds -i dt c11, and Theta's j-derivative -i dt (c10^2 + c01^2)
@@ -234,14 +240,14 @@ def _gradient(uu, jj, duration, alpha_sq, fwd):
 
     # (a, b, c) of dR/du are (-dt u s, h u^2 + s, 2 h u j) and of dR/dj
     # (-4 dt j s, 4 h u j, 2 (4 h j^2 + s)), with h = dt^3 _h_div(y)
-    u, j, y, s = _angles(uu, jj, dt)
+    u, j = uj[:, 0].T, uj[:, 1].T
     h = dt**3 * _h_div(y)
     ujh = u * j * h
     gu_seg = -dt * u * s * diag - (h * u * u + s) * skew - 2.0 * ujh * cross
     gj_seg = -4.0 * dt * j * s * diag - 4.0 * ujh * skew - 2.0 * (4.0 * h * j * j + s) * cross
-    gu[live] = gu_seg.T + (dt * (pref * c11).imag)[:, None]
-    gj[live] = gj_seg.T + (dt * (pref * (c10 * c10 + c01 * c01)).imag)[:, None]
-    return value, gu, gj
+    grad[rows, 0] = gu_seg.T + (dt * (pref * c11).imag)[:, None]
+    grad[rows, 1] = gj_seg.T + (dt * (pref * (c10 * c10 + c01 * c01)).imag)[:, None]
+    return value, grad
 
 
 def objective_gradient(
@@ -266,23 +272,27 @@ def project(u, j, bounds):
     return np.clip(u, 0.0, u_max), np.clip(j, 0.0, j_max)
 
 
-def _take(fwd, rows):
-    """Rows ``rows`` of a ``_forward`` pass."""
-    rot, xs, *per_row = fwd
-    return (rot[:, rows], xs[:, rows], *(a[rows] for a in per_row))
+def _store(fwd, rows, part, ok):
+    """Write rows ``ok`` of the ``_forward`` pass ``part`` into rows
+    ``rows`` of the pass ``fwd``; its first four arrays are segment-major."""
+    for slot, values in zip(fwd[:4], part[:4]):
+        slot[:, rows] = values[:, ok]
+    for slot, values in zip(fwd[4:], part[4:]):
+        slot[rows] = values[ok]
 
 
-def _join(parts):
-    """``_forward`` passes of disjoint rows, stacked in the given order."""
-    rot, xs, *per_row = zip(*parts)
-    return (
-        np.concatenate(rot, axis=1),
-        np.concatenate(xs, axis=1),
-        *(np.concatenate(a) for a in per_row),
-    )
+class _Ascent(tuple):
+    """What ``_ascend`` returns, unpacked as (u, j, objective, iterations,
+    stop reasons) per start; ``start`` holds the projected starts'
+    objectives."""
+
+    def __new__(cls, fields, start):
+        self = super().__new__(cls, fields)
+        self.start = start
+        return self
 
 
-def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter):
+def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, target=math.inf):
     """Spectral projected gradient ascent, all starts at once.
 
     Row i of ``u0`` and ``j0`` (shape (starts, segments)) is one start.
@@ -291,95 +301,123 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter):
     clipped to [_MIN_STEP, _MAX_STEP]; it is _MAX_STEP where s.y >= 0 and
     1 at the first iteration.  The step halves until the nonmonotone
     Armijo test against the lowest of the start's last _MEMORY objectives
-    holds, and the accepted trial's forward pass feeds the gradient.
-    Every start keeps its own step, history and stop reason, so it takes
-    the same iterates as it would alone; a start leaves the batch once it
-    stops.  Returns per start its best controls and their objective (a
+    holds; each start's accepted trial, controls and forward pass, goes to
+    its own row of the pass that feeds the gradient.  Every start keeps
+    its own step, history and stop reason, so it takes the same iterates
+    as it would alone; a start leaves the batch once it stops.
+
+    The whole batch stops as soon as any start's best objective reaches
+    ``target``, the start objectives included (then after 0 iterations):
+    the feasibility question "can some start reach ``target``?" is then
+    settled, since each start returns its best iterate.  A run that never
+    reaches ``target`` takes the same iterates as one without it.
+
+    Returns per start its best controls and their objective (a
     nonmonotone search can end below them), the iteration count and the
     stop reason: "projected_gradient", "no_ascent_step" (the line search
-    found no step at its resolution), "flat" or "max_iter" (not
-    converged).
+    found no step at its resolution), "flat", "target" or "max_iter" (not
+    converged); ``.start`` holds the projected starts' objectives.
     """
-    u, j = project(np.asarray(u0, float), np.asarray(j0, float), bounds)
-    best, gu, gj = _objective_and_gradient(u, j, duration, y0, x0, alpha_sq, omega_eff)
-    best_u, best_j = u.copy(), j.copy()
-    starts = best.size
-    step = np.ones(starts)
-    # each start's last _FLAT_WINDOW + 1 objectives, iteration i in column
-    # i % (_FLAT_WINDOW + 1); the columns of iterations before 0 hold the
-    # start's objective
-    history = np.repeat(best[:, None], _FLAT_WINDOW + 1, axis=1)
-    iterations = np.full(starts, max_iter)
-    stop = ["max_iter"] * starts
-    active = np.arange(starts)
+    box = np.array([[bounds[0]], [bounds[1]]], dtype=float)
+    uj = np.clip(np.stack((np.asarray(u0, float), np.asarray(j0, float)), axis=1), 0.0, box)
+    start, grad = _gradient(uj, duration, alpha_sq, _forward(uj, duration, y0, x0, omega_eff))
+    rows = start.size
+    best, best_uj = start.copy(), uj.copy()
+    iterations = np.full(rows, max_iter)
+    stop = ["max_iter"] * rows
+    window = _FLAT_WINDOW + 1
+    # columns of the last _MEMORY iterations, by the latest one's column
+    recent = (np.arange(window)[:, None] - np.arange(_MEMORY)) % window
 
-    def finish(rows, it, reason):
-        iterations[rows] = it
-        for row in rows:
+    # the starts still ascending, with their controls, gradients, trial
+    # steps and last _FLAT_WINDOW + 1 objectives (iteration i in column
+    # i % window; the columns of iterations before 0 hold the start's
+    # objective)
+    active, ctrl, step = np.arange(rows), uj, np.ones(rows)
+    history = np.repeat(start[:, None], window, axis=1)
+
+    def retire(leaving, it, reason):
+        nonlocal active, ctrl, grad, step, history
+        for row in active[leaving]:
+            iterations[row] = it
             stop[row] = reason
+        keep = ~leaving
+        active, ctrl, grad = active[keep], ctrl[keep], grad[keep]
+        step, history = step[keep], history[keep]
 
+    if np.any(start >= target):
+        retire(np.ones(rows, bool), 0, "target")
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
-        ua, ja, ga, ha = u[active], j[active], gu[active], gj[active]
-        pu, pj = project(ua + ga, ja + ha, bounds)
-        pg_norm = np.sqrt(np.sum((pu - ua) ** 2, axis=1) + np.sum((pj - ja) ** 2, axis=1))
-        done = pg_norm <= _PG_TOL
-        finish(active[done], it, "projected_gradient")
-        keep = ~done
-        active, ua, ja, ga, ha = active[keep], ua[keep], ja[keep], ga[keep], ha[keep]
-        recent = (it - 1 - np.arange(_MEMORY)) % (_FLAT_WINDOW + 1)
-        ref = history[active[:, None], recent].min(axis=1)
+        d = np.clip(ctrl + grad, 0.0, box) - ctrl
+        sq = (d * d).sum(axis=2)
+        done = np.sqrt(sq[:, 0] + sq[:, 1]) <= _PG_TOL
+        if done.any():
+            retire(done, it, "projected_gradient")
+            if active.size == 0:
+                break
+        ref = history[:, recent[(it - 1) % window]].min(axis=1)
 
         # backtracking in lock step: a start leaves the search once it
-        # accepts, and the accepted rows are kept in the order they accept
-        s = step[active]
+        # accepts, and its trial goes to its own row of ``new`` and ``fwd``,
+        # which the first round fills for every start
+        new = fwd = None
         search = np.arange(active.size)
-        accepted = []  # per round: the accepting rows, their controls and forward pass
+        sc, sg, sref, sstep = ctrl, grad, ref, step
         for _ in range(60):
-            if search.size == 0:
-                break
-            tu, tj = project(
-                ua[search] + s[search, None] * ga[search],
-                ja[search] + s[search, None] * ha[search],
-                bounds,
-            )
-            trial = _forward(tu, tj, duration, y0, x0, omega_eff)
+            trial_uj = np.clip(sc + sstep[:, None, None] * sg, 0.0, box)
+            trial = _forward(trial_uj, duration, y0, x0, omega_eff)
             cand = _value(trial, alpha_sq)
-            gain = np.sum(ga[search] * (tu - ua[search]), axis=1) + np.sum(
-                ha[search] * (tj - ja[search]), axis=1
-            )
-            ok = (cand >= ref[search] + _ARMIJO_C1 * gain) & (cand > ref[search])
-            if ok.any():
-                accepted.append((search[ok], tu[ok], tj[ok], _take(trial, ok)))
-            search = search[~ok]
-            s[search] *= 0.5
-        finish(active[search], it, "no_ascent_step")
-        if not accepted:
+            gain = (sg * (trial_uj - sc)).sum(axis=2)
+            ok = (cand >= sref + _ARMIJO_C1 * (gain[:, 0] + gain[:, 1])) & (cand > sref)
+            if new is None:
+                new, fwd = trial_uj, trial
+            elif ok.any():
+                new[search[ok]] = trial_uj[ok]
+                _store(fwd, search[ok], trial, ok)
+            if ok.all():
+                search = search[:0]
+                break
+            keep = ~ok
+            search, sc, sg, sref = search[keep], sc[keep], sg[keep], sref[keep]
+            sstep = 0.5 * sstep[keep]
+        if search.size == active.size:
+            retire(np.ones(active.size, bool), it, "no_ascent_step")
             break
-        order, cu, cj, fwd = zip(*accepted)
-        order = np.concatenate(order)
-        active, ua, ja, ga, ha = active[order], ua[order], ja[order], ga[order], ha[order]
-        cu, cj = np.concatenate(cu), np.concatenate(cj)
-        va, cgu, cgj = _gradient(cu, cj, duration, alpha_sq, _join(fwd))
+        value, new_grad = _gradient(new, duration, alpha_sq, fwd)
+        if search.size:
+            # rows that found no step; their rows of the pass hold a
+            # rejected trial
+            failed = np.zeros(active.size, bool)
+            failed[search] = True
+            retire(failed, it, "no_ascent_step")
+            new, value, new_grad = new[~failed], value[~failed], new_grad[~failed]
 
-        su, sj = cu - ua, cj - ja
-        sy = np.sum(su * (cgu - ga), axis=1) + np.sum(sj * (cgj - ha), axis=1)
+        su = new - ctrl
+        sy = (su * (new_grad - grad)).sum(axis=2)
+        sy = sy[:, 0] + sy[:, 1]
+        ss = (su * su).sum(axis=2)
         bb = np.full(active.size, _MAX_STEP)
         curved = sy < 0.0
-        bb[curved] = (np.sum(su * su, axis=1) + np.sum(sj * sj, axis=1))[curved] / -sy[curved]
-        step[active] = np.clip(bb, _MIN_STEP, _MAX_STEP)
-        u[active], j[active], gu[active], gj[active] = cu, cj, cgu, cgj
-        up = va > best[active]
-        best_u[active[up]], best_j[active[up]], best[active[up]] = cu[up], cj[up], va[up]
+        bb[curved] = (ss[:, 0] + ss[:, 1])[curved] / -sy[curved]
+        step = np.clip(bb, _MIN_STEP, _MAX_STEP)
+        ctrl, grad = new, new_grad
+        up = value > best[active]
+        best_uj[active[up]], best[active[up]] = new[up], value[up]
 
-        history[active, it % (_FLAT_WINDOW + 1)] = va
+        history[:, it % window] = value
+        if np.any(value >= target):
+            retire(np.ones(active.size, bool), it, "target")
+            break
         if it >= _FLAT_WINDOW:
-            old = history[active, (it + 1) % (_FLAT_WINDOW + 1)]  # iteration it - window
-            flat = np.abs(va - old) <= _FLAT_TOL * np.maximum(1.0, np.abs(va))
-            finish(active[flat], it, "flat")
-            active = active[~flat]
-    return best_u, best_j, best, iterations, stop
+            old = history[:, (it + 1) % window]  # iteration it - _FLAT_WINDOW
+            flat = np.abs(value - old) <= _FLAT_TOL * np.maximum(1.0, np.abs(value))
+            if flat.any():
+                retire(flat, it, "flat")
+    return _Ascent(
+        (best_uj[:, 0].copy(), best_uj[:, 1].copy(), best, iterations, stop), start
+    )
 
 
 def shortcut_seed(duration: float, segments: int, bounds: tuple[float, float]) -> ControlVector:
@@ -410,6 +448,18 @@ def maximize(
     together with projected gradients, and returns the best; ties go to
     the earlier start.  Identical inputs give identical results.
     """
+    return _maximize(
+        duration, bounds, segments, seeds, params,
+        prep=prep, base_seed=base_seed, max_iter=max_iter, extra_starts=extra_starts,
+    )[0]
+
+
+def _maximize(
+    duration, bounds, segments, seeds, params=None, *,
+    prep=None, base_seed, max_iter, extra_starts, target=math.inf,
+):
+    """``maximize``, with the ascent stopped once some start reaches
+    ``target``; also returns the winning start's stop reason."""
     if not (math.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
     if segments < 1:
@@ -427,6 +477,7 @@ def maximize(
     y0, x0, alpha_sq, omega_eff = _prep_blocks(prep, params)
 
     if duration == 0.0:
+        # the objective vanishes, and with it every gradient
         zero = np.zeros((1, segments))
         return OptimizationResult(
             best=ControlVector(zero[0], zero[0], duration),
@@ -434,7 +485,7 @@ def maximize(
             iterations=0,
             converged=True,
             seed=-1,
-        )
+        ), "projected_gradient"
 
     labels = list(range(seeds))
     u0 = []
@@ -449,14 +500,13 @@ def maximize(
     labels += [-1 - offset for offset in range(len(extra))]
     u0 += [cv.u for cv in extra]
     j0 += [cv.j for cv in extra]
-    u0 = np.array(u0)
-    j0 = np.array(j0)
 
-    f0 = _objective_value(*project(u0, j0, bounds), duration, y0, x0, alpha_sq, omega_eff)
-    u, j, value, iterations, stop = _ascend(
-        u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter
+    ascent = _ascend(
+        np.array(u0), np.array(j0), duration, bounds, y0, x0, alpha_sq, omega_eff,
+        max_iter, target,
     )
-    improved = bool(np.any(value > f0 + 1e-15))
+    u, j, value, iterations, stop = ascent
+    improved = bool(np.any(value > ascent.start + 1e-15))
     best = 0
     for row in range(1, len(labels)):
         if value[row] > value[best]:
@@ -467,7 +517,7 @@ def maximize(
         iterations=int(iterations[best]),
         converged=stop[best] != "max_iter" and improved,
         seed=labels[best],
-    )
+    ), stop[best]
 
 
 def _resample_piecewise(cv: ControlVector, duration: float, segments: int):
@@ -496,28 +546,47 @@ def minimum_time(
 ) -> float:
     """Smallest duration whose optimum reaches (1 - epsilon) of the ceiling.
 
-    Coarse scan for a feasibility bracket, then bisection down to
-    ``resolution``.  The answer inherits the optimiser's discretisation,
-    so treat it as a window of width ~resolution around the ideal value.
+    Coarse scan ``coarse = (start, stop, step)`` for a feasibility bracket,
+    then bisection down to ``resolution``.  Each probe asks whether some
+    start reaches the target, so its ascent stops as soon as one does
+    (stop reason "target"); a probe that never does runs to convergence
+    as ``maximize`` would.  Every probe warm-starts from the previous
+    probe's best controls, and logs one DEBUG record: duration, best
+    objective, verdict, and the winning start's iterations and stop
+    reason.  The answer inherits the optimiser's discretisation, so treat
+    it as a window of width ~resolution around the ideal value.
     """
     if not 0.0 < epsilon <= 0.05:
         raise ValueError("epsilon must lie in (0, 0.05]")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
+    start, stop, step = coarse
+    if not (all(map(math.isfinite, coarse)) and 0.0 < start <= stop < stop + step):
+        raise ValueError(
+            "coarse (start, stop, step) must be finite with 0 < start <= stop "
+            f"and a step > 0 that advances the scan, got {tuple(coarse)!r}"
+        )
     target = MAX_NORMALIZED_CONCURRENCE * (1.0 - epsilon)
     warm: list[ControlVector] = []
 
     def feasible(duration):
-        res = maximize(
+        res, reason = _maximize(
             duration, bounds, segments, seeds,
             prep=prep, base_seed=base_seed, max_iter=max_iter,
             extra_starts=tuple(
                 _resample_piecewise(cv, duration, segments) for cv in warm
             ),
+            target=target,
         )
         del warm[:]
         warm.append(res.best)
-        return res.objective >= target
+        verdict = res.objective >= target
+        _log.debug(
+            "minimum_time probe T=%r objective=%r feasible=%s iterations=%d stop=%s",
+            duration, res.objective, verdict, res.iterations, reason,
+        )
+        return verdict
 
-    start, stop, step = coarse
     lo = None
     hi = None
     t = start
@@ -533,6 +602,8 @@ def minimum_time(
         return hi
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if feasible(mid):
             hi = mid
         else:

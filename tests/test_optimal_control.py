@@ -1,5 +1,7 @@
 import dataclasses
+import logging
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -205,25 +207,58 @@ def test_gradient_at_subnormal_w_is_zero_without_overflow():
 
 
 def test_gradient_from_handed_over_forward_pass_is_bit_equal(rng):
-    """The line search hands its accepted rows' forward pass, taken out of
-    a larger batch and joined in acceptance order, to the gradient."""
+    """The line search writes each row's accepted trial into that row of
+    the pass its first round made for every row, over rejected trials, and
+    hands the pass to the gradient."""
     y0, z0, alpha_sq, omega_eff = optimal_control._prep_blocks(
         symmetric_preparation(0.1), JunctionParams(0.2)
     )
-    uu = rng.uniform(0.0, BOUNDS[0], (5, 9))
-    jj = rng.uniform(0.0, BOUNDS[1], (5, 9))
+    accepted = np.stack(
+        (rng.uniform(0.0, BOUNDS[0], (5, 9)), rng.uniform(0.0, BOUNDS[1], (5, 9))), axis=1
+    )
+    rejected = np.stack(
+        (rng.uniform(0.0, BOUNDS[0], (5, 9)), rng.uniform(0.0, BOUNDS[1], (5, 9))), axis=1
+    )
     duration = 5.5
-    fwd = optimal_control._forward(uu, jj, duration, y0, z0, omega_eff)
-    order = np.array([3, 0, 4])
-    parts = [optimal_control._take(fwd, order[:2]), optimal_control._take(fwd, order[2:])]
-    got = optimal_control._gradient(
-        uu[order], jj[order], duration, alpha_sq, optimal_control._join(parts)
-    )
+    # rows 0 and 2 accept in the first round, 1 and 4 in the second, 3 in the third
+    first = np.where(np.isin(np.arange(5), [0, 2])[:, None, None], accepted, rejected)
+    fwd = optimal_control._forward(first, duration, y0, z0, omega_eff)
+    for search, ok in (([1, 3, 4], [True, False, True]), ([3], [True])):
+        ok = np.array(ok)
+        trial = np.where(ok[:, None, None], accepted[search], rejected[search])
+        part = optimal_control._forward(trial, duration, y0, z0, omega_eff)
+        optimal_control._store(fwd, np.array(search)[ok], part, ok)
+    value, grad = optimal_control._gradient(accepted, duration, alpha_sq, fwd)
     want = optimal_control._objective_and_gradient(
-        uu[order], jj[order], duration, y0, z0, alpha_sq, omega_eff
+        accepted[:, 0], accepted[:, 1], duration, y0, z0, alpha_sq, omega_eff
     )
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    assert np.array_equal(value, want[0])
+    assert np.array_equal(grad[:, 0], want[1])
+    assert np.array_equal(grad[:, 1], want[2])
+
+
+def test_ascent_hands_each_row_its_own_trial(monkeypatch):
+    """Rows that accept in a later round of the line search overwrite their
+    first-round rows, so every pass the gradient gets is the forward pass
+    of the controls that come with it."""
+    y0, z0, alpha_sq, omega_eff = optimal_control._prep_blocks(
+        symmetric_preparation(0.1), JunctionParams()
+    )
+    gradient, store = optimal_control._gradient, optimal_control._store
+    stores = []
+
+    def checked(uj, duration, alpha_sq, fwd):
+        for got, want in zip(fwd, optimal_control._forward(uj, duration, y0, z0, omega_eff)):
+            assert np.array_equal(got, want)
+        return gradient(uj, duration, alpha_sq, fwd)
+
+    monkeypatch.setattr(optimal_control, "_gradient", checked)
+    monkeypatch.setattr(optimal_control, "_store", lambda *a: stores.append(1) or store(*a))
+    draw = np.random.default_rng(5)
+    uu = draw.uniform(0.0, BOUNDS[0], (4, 20))
+    jj = draw.uniform(0.0, BOUNDS[1], (4, 20))
+    optimal_control._ascend(uu, jj, 6.5, BOUNDS, y0, z0, alpha_sq, omega_eff, 150)
+    assert stores
 
 
 @st.composite
@@ -264,6 +299,60 @@ def test_ascent_returns_best_iterate_property(batch):
     assert np.all(iterations <= max_iter) and len(stop) == len(value)
     shorter = optimal_control._ascend(uu, jj, duration, BOUNDS, *blocks, fewer)
     assert np.all(value >= shorter[2])
+
+
+@PROPERTY
+@given(ascent_batches(), st.one_of(st.floats(0.0, 1.0), st.none()))
+def test_target_stops_once_decided_property(batch, level):
+    """A target between the lowest and highest final objective of a full
+    run (or, for ``None``, just above the highest) leaves the verdict
+    "some start reaches it" as the full run gives it, and the run stops
+    there exactly when the full run reaches it; a run that stops there
+    holds a row at or above it, and one that never reaches it returns the
+    full run's arrays exactly."""
+    uu, jj, duration, max_iter, _ = batch
+    blocks = optimal_control._prep_blocks(symmetric_preparation(0.1), JunctionParams())
+    full = optimal_control._ascend(uu, jj, duration, BOUNDS, *blocks, max_iter)
+    lo, hi = full[2].min(), full[2].max()
+    target = np.nextafter(hi, np.inf) if level is None else lo + level * (hi - lo)
+    early = optimal_control._ascend(uu, jj, duration, BOUNDS, *blocks, max_iter, target)
+    assert (early[2].max() >= target) == (hi >= target)
+    assert ("target" in early[4]) == (hi >= target)
+    assert np.array_equal(early.start, full.start)
+    if "target" in early[4]:
+        assert early[2].max() >= target
+        assert np.all(early[3] <= full[3])
+    else:
+        for a, b in zip(early, full):
+            assert np.array_equal(a, b)
+
+
+def test_start_at_target_stops_after_zero_iterations(rng):
+    blocks = optimal_control._prep_blocks(symmetric_preparation(0.1), JunctionParams())
+    uu = rng.uniform(-0.2, 1.2, (3, 8))
+    jj = rng.uniform(-0.1, 0.3, (3, 8))
+    start = optimal_control._objective_value(*project(uu, jj, BOUNDS), 6.0, *blocks)
+    u, j, value, iterations, stop = optimal_control._ascend(
+        uu, jj, 6.0, BOUNDS, *blocks, 100, start.max()
+    )
+    assert stop == ["target"] * 3 and not iterations.any()
+    assert np.array_equal(value, start)
+    assert np.array_equal(np.stack((u, j)), np.stack(project(uu, jj, BOUNDS)))
+
+
+def test_maximize_evaluates_the_starts_once(monkeypatch):
+    """The start objectives that decide ``converged`` come from the
+    ascent's own first forward pass."""
+    calls = []
+    forward = optimal_control._forward
+    monkeypatch.setattr(
+        optimal_control, "_forward", lambda *args: calls.append(1) or forward(*args)
+    )
+    # without actuation the objective and its gradient vanish, so every
+    # start stops at once, converged in place but not improved
+    res = maximize(3.0, (0.0, 0.0), segments=10, seeds=2, max_iter=50)
+    assert len(calls) == 1
+    assert res.iterations == 1 and not res.converged
 
 
 def test_projection_idempotent_inside_box(rng):
@@ -408,6 +497,70 @@ def test_minimum_time_reports_empty_bracket():
 def test_minimum_time_epsilon_domain():
     with pytest.raises(ValueError):
         minimum_time(BOUNDS, epsilon=0.2)
+
+
+def test_minimum_time_probes_are_pinned(caplog):
+    """The benchmark's minimum-time search: each probe logs one DEBUG
+    record, and the probes that reach the target stop there without
+    changing a verdict."""
+    caplog.set_level(logging.DEBUG, logger="bjjctrl.optimal_control")
+    tstar = minimum_time(BOUNDS, segments=50, seeds=4, base_seed=1234)
+    assert tstar == 6.4375
+    probes = [r for r in caplog.records if r.getMessage().startswith("minimum_time probe")]
+    assert all(r.levelno == logging.DEBUG for r in probes)
+    durations, objectives, verdicts, iterations, stops = zip(*(r.args for r in probes))
+    assert list(zip(durations, verdicts)) == [
+        *((t, False) for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+        (7.0, True), (6.5, True), (6.25, False), (6.375, False), (6.4375, True),
+        (6.40625, False),
+    ]
+    target = CEILING * (1.0 - 0.005)
+    for objective_, verdict, stop in zip(objectives, verdicts, stops):
+        assert (objective_ >= target) == verdict
+        assert (stop == "target") == verdict
+    assert min(iterations) >= 0
+
+
+def _refuse_to_optimise(*args, **kwargs):
+    raise AssertionError("the scan must be validated before optimising")
+
+
+@pytest.mark.parametrize(
+    "kwargs, shown",
+    [
+        (dict(resolution=0.0), "0.0"),
+        (dict(resolution=-1.0), "-1.0"),
+        (dict(resolution=math.nan), "nan"),
+        (dict(resolution=math.inf), "inf"),
+        (dict(coarse=(1.0, 16.0, 0.0)), "(1.0, 16.0, 0.0)"),
+        (dict(coarse=(1.0, 16.0, -1.0)), "(1.0, 16.0, -1.0)"),
+        (dict(coarse=(1.0, 16.0, 1e-16)), "(1.0, 16.0, 1e-16)"),
+        (dict(coarse=(0.0, 16.0, 1.0)), "(0.0, 16.0, 1.0)"),
+        (dict(coarse=(3.0, 2.0, 1.0)), "(3.0, 2.0, 1.0)"),
+        (dict(coarse=(1.0, math.inf, 1.0)), "(1.0, inf, 1.0)"),
+        (dict(coarse=(math.nan, 16.0, 1.0)), "(nan, 16.0, 1.0)"),
+    ],
+)
+def test_minimum_time_rejects_a_scan_that_cannot_end(monkeypatch, kwargs, shown):
+    monkeypatch.setattr(optimal_control, "maximize", _refuse_to_optimise)
+    monkeypatch.setattr(optimal_control, "_maximize", _refuse_to_optimise)
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        minimum_time(BOUNDS, segments=10, seeds=1, **kwargs)
+
+
+def test_bisection_ends_at_adjacent_durations(monkeypatch):
+    """A resolution below the spacing of floats still ends the bisection."""
+    def step_at_2_5(duration, bounds, segments, *args, **kwargs):
+        zero = np.zeros(segments)
+        res = optimal_control.OptimizationResult(
+            ControlVector(zero, zero, duration), CEILING * (duration >= 2.5), 0, True, 0
+        )
+        return res, "projected_gradient"
+
+    monkeypatch.setattr(optimal_control, "_maximize", step_at_2_5)
+    tstar = minimum_time(BOUNDS, segments=4, epsilon=0.05, resolution=1e-300,
+                         coarse=(1.0, 4.0, 1.0))
+    assert tstar == 2.5
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ model."""
 from .dynamics import (
     AMPLITUDE_LABELS,
     ControlSchedule,
+    ControlVector,
     InitialPreparation,
     JunctionParams,
     Trajectory,
     TruncatedState,
-    evolve_constant,
     initial_state,
     propagate,
     symmetric_preparation,
@@ -40,7 +40,6 @@ from .shortcuts import (
     solve_duration,
 )
 from .optimal_control import (
-    ControlVector,
     OptimizationResult,
     SweepCurve,
     maximize,

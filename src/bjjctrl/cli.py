@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (
     ControlSchedule,
+    ControlVector,
     JunctionParams,
     TruncatedState,
     initial_state,
@@ -106,7 +107,7 @@ _COMMANDS = {
         "out": _OUT,
     }),
     "simulate": ("propagate a schedule from CSV", {
-        "schedule": _Opt(help="CSV with t,u,j columns", required=True),
+        "schedule": _Opt(help="CSV with t,u,j or segment,t_start,u,j columns", required=True),
         "alpha": _ALPHA,
         "kappa": _Opt(float, 0.0),
         "omega": _Opt(float, 0.0),
@@ -279,9 +280,16 @@ _TRACE_HEADER = [
 ]
 
 
-def _trace_table(traj, schedule, alpha, kappa):
-    """Per-sample trace shared by ``shortcut`` and ``simulate``: one
-    (samples x 8) array with the ``_TRACE_HEADER`` columns, and C/alpha^2."""
+def _run_trace(command, options, schedule, payload):
+    """Propagate the symmetric preparation along ``schedule`` for
+    ``shortcut`` and ``simulate``: the trace, one row per sample with the
+    ``_TRACE_HEADER`` columns, goes to ``--out``, and ``payload`` plus the
+    final and peak C/alpha^2 to stdout."""
+    alpha, kappa = options["alpha"], options["kappa"]
+    traj = propagate(
+        initial_state(symmetric_preparation(alpha)), schedule,
+        JunctionParams(options["omega"], kappa), options["steps"],
+    )
     t = traj.times
     u, j = schedule.controls_at(t)
     amps = traj.amplitudes
@@ -290,10 +298,15 @@ def _trace_table(traj, schedule, alpha, kappa):
     one, two = traj.manifold_populations()
     res_one = np.abs(one - one[0] * np.exp(-kappa * t))
     res_two = np.abs(two - two[0] * np.exp(-2.0 * kappa * t))
-    table = np.column_stack(
-        (t, u, j, norm_complex.real, norm_complex.imag, conc, res_one, res_two)
-    )
-    return table, conc
+    if options["out"]:
+        table = np.column_stack(
+            (t, u, j, norm_complex.real, norm_complex.imag, conc, res_one, res_two)
+        )
+        _write_csv(options["out"], command, options, _TRACE_HEADER, _array_rows(table))
+    payload["final_concurrence_norm"] = float(conc[-1])
+    payload["peak_concurrence_norm"] = float(conc.max())
+    _emit_json(command, options, payload)
+    return 0
 
 
 def cmd_duration(options) -> int:
@@ -317,71 +330,78 @@ def cmd_duration(options) -> int:
 
 
 def cmd_shortcut(options) -> int:
-    alpha, kappa = options["alpha"], options["kappa"]
     profile = _build_profile(options)
     duration = options["t"] if options["t"] is not None else solve_duration(profile)
     schedule, record = counterdiabatic_controls(profile, duration, options["samples"])
-    traj = propagate(
-        initial_state(symmetric_preparation(alpha)), schedule,
-        JunctionParams(options["omega"], kappa), options["steps"],
-    )
-    table, conc = _trace_table(traj, schedule, alpha, kappa)
-    if options["out"]:
-        _write_csv(options["out"], "shortcut", options, _TRACE_HEADER, _array_rows(table))
-    _emit_json("shortcut", options, {
-        "T": duration,
-        "theta": record.theta,
-        "zeta": record.zeta,
-        "final_concurrence_norm": float(conc[-1]),
-        "peak_concurrence_norm": float(conc.max()),
-    })
-    return 0
+    return _run_trace("shortcut", options, schedule,
+                      {"T": duration, "theta": record.theta, "zeta": record.zeta})
 
 
-def _load_schedule(path) -> ControlSchedule:
-    """t,u,j samples of a schedule CSV, parsed as the file is read: no line
-    is kept once its floats are taken.  Blank and ``#`` lines are skipped,
-    and the first other line may be a non-numeric header."""
-    times, u, j = [], [], []
+#: Leading header names of the schedule CSVs ``simulate`` replays: sampled
+#: controls (a trace's further columns are ignored) and the segments that
+#: ``optimize`` writes.
+_SAMPLED = ("t", "u", "j")
+_SEGMENTS = ("segment", "t_start", "u", "j")
+
+
+def _load_schedule(path) -> ControlSchedule | ControlVector:
+    """The schedule of a CSV, parsed into one list per column as the file
+    is read.  Blank and ``#`` lines are skipped, but for the last
+    ``# config=`` line; the first other line is the header."""
+    layout = config = None
     try:
         with open(path) as f:
-            lines = (ln for ln in map(str.strip, f) if ln and not ln.startswith("#"))
-            for i, line in enumerate(lines):
-                try:
-                    vals = [float(p) for p in line.split(",")[:3]]
-                except ValueError:
-                    if i == 0:
-                        continue  # header row
-                    raise ConfigError(f"non-numeric schedule row: {line!r}")
-                if len(vals) < 3:
-                    raise ConfigError(f"schedule rows need t,u,j columns: {line!r}")
-                times.append(vals[0]); u.append(vals[1]); j.append(vals[2])
+            for line in map(str.strip, f):
+                if line.startswith("# config="):
+                    config = line[len("# config="):]
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split(",")
+                if layout is None:
+                    layout = next(
+                        (h for h in (_SAMPLED, _SEGMENTS) if tuple(fields[:len(h)]) == h), None
+                    )
+                    if layout is None:
+                        raise ConfigError(f"want a t,u,j or segment,t_start,u,j header: {line!r}")
+                    columns = [[] for _ in layout]
+                elif len(fields) < len(layout):
+                    raise ConfigError(f"schedule rows need {','.join(layout)} columns: {line!r}")
+                else:
+                    try:
+                        for column, field in zip(columns, fields):
+                            column.append(float(field))
+                    except ValueError:
+                        raise ConfigError(f"non-numeric schedule row: {line!r}")
     except OSError as exc:
         raise ConfigError(f"cannot read schedule: {exc}")
-    if not times:
+    if layout is None or not columns[0]:
         raise ConfigError("schedule file holds no samples")
     try:
-        return ControlSchedule(np.array(times), np.array(u), np.array(j))
+        if layout is _SAMPLED:
+            return ControlSchedule(*map(np.array, columns))
+        return _segment_schedule(*columns, config)
     except ValueError as exc:
         raise ConfigError(f"invalid schedule: {exc}")
 
 
+def _segment_schedule(segment, t_start, u, j, config) -> ControlVector:
+    """The controls ``optimize`` wrote: T is the ``t`` of its config line,
+    and segment k must start at exactly k * (T / N)."""
+    try:
+        duration = json.loads(config).get("t")
+    except (TypeError, ValueError, AttributeError):
+        duration = None
+    if type(duration) not in (int, float):
+        raise ConfigError("a segment schedule needs the duration t on its '# config=' line")
+    dt = duration / len(u)
+    if segment != list(range(len(u))) or any(t != k * dt for k, t in enumerate(t_start)):
+        raise ConfigError(f"segments must be numbered 0..N-1 and start on the grid k * {dt!r}")
+    return ControlVector(np.array(u), np.array(j), duration)
+
+
 def cmd_simulate(options) -> int:
-    alpha, kappa = options["alpha"], options["kappa"]
     schedule = _load_schedule(options["schedule"])
-    traj = propagate(
-        initial_state(symmetric_preparation(alpha)), schedule,
-        JunctionParams(options["omega"], kappa), options["steps"],
-    )
-    table, conc = _trace_table(traj, schedule, alpha, kappa)
-    if options["out"]:
-        _write_csv(options["out"], "simulate", options, _TRACE_HEADER, _array_rows(table))
-    _emit_json("simulate", options, {
-        "T": schedule.duration,
-        "final_concurrence_norm": float(conc[-1]),
-        "peak_concurrence_norm": float(conc.max()),
-    })
-    return 0
+    return _run_trace("simulate", options, schedule, {"T": schedule.duration})
 
 
 def cmd_optimize(options) -> int:

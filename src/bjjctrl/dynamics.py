@@ -41,13 +41,7 @@ AMPLITUDE_LABELS = ("c00", "c10", "c01", "c11", "c20", "c02")
 #: Basis change (c20, c11, c02) -> ((c20+c02)/s2, c11, (c20-c02)/s2).
 #: Orthogonal involution; conjugating with it block-diagonalises the
 #: two-quanta system into a symmetric 2x2 part and a decoupled mode.
-_Q_SYM = np.array(
-    [
-        [1.0 / SQRT2, 0.0, 1.0 / SQRT2],
-        [0.0, 1.0, 0.0],
-        [1.0 / SQRT2, 0.0, -1.0 / SQRT2],
-    ]
-)
+_Q_SYM = np.array([[1.0, 0.0, 1.0], [0.0, SQRT2, 0.0], [1.0, 0.0, -1.0]]) / SQRT2
 
 
 @dataclass(frozen=True)
@@ -178,6 +172,44 @@ class ControlSchedule:
 
 
 @dataclass(frozen=True)
+class ControlVector:
+    """Piecewise-constant controls (U, J) on N equal segments of [0, T]."""
+
+    u: np.ndarray
+    j: np.ndarray
+    duration: float
+
+    def __post_init__(self):
+        u = np.asarray(self.u, dtype=float)
+        j = np.asarray(self.j, dtype=float)
+        if u.ndim != 1 or u.shape != j.shape or u.size == 0:
+            raise ValueError("u and j must be 1-d arrays of equal nonzero length")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(j))):
+            raise ValueError("controls must be finite")
+        if not math.isfinite(self.duration) or self.duration < 0.0:
+            raise ValueError("duration must be finite and >= 0")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "j", j)
+
+    @property
+    def segments(self) -> int:
+        return self.u.size
+
+    def _segment(self, t):
+        """Index of the segment holding time(s) t; T and later times fall
+        in the last segment, and for T = 0 every time in the first."""
+        if self.duration == 0.0:
+            return np.zeros(np.shape(t), dtype=int)
+        k = (np.asarray(t) / (self.duration / self.segments)).astype(int)
+        return np.minimum(k, self.segments - 1)
+
+    def controls_at(self, t):
+        """(U, J) of the segment holding time(s) t."""
+        k = self._segment(t)
+        return self.u[k], self.j[k]
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """States sampled on a uniform time grid, endpoints included."""
 
@@ -277,53 +309,106 @@ def _chain(mats, v):
     return states
 
 
-def propagate(
-    state: TruncatedState,
-    schedule: ControlSchedule,
-    params: JunctionParams,
-    steps: int = 10_000,
-) -> Trajectory:
-    """Fixed-step classical 4th-order (RK4) integration over the schedule.
+def _rotation(u, j, dt):
+    """The (S, c11) part of the two-quanta propagator over a time dt of
+    constant controls u, j (all three broadcast), phase aside.
 
-    The equations of motion are linear, so each RK4 step is a matrix
-    polynomial in the block generators at the step's ends and midpoint.
-    The step matrices are built vectorised, a chunk of steps at a time,
-    and chained onto each block's amplitudes.
-
-    Parameters
-    ----------
-    state : TruncatedState
-        Initial amplitudes.
-    schedule : ControlSchedule
-        Control samples; U and J between samples are linearly interpolated.
-    params : JunctionParams
-        Frequency and loss rate.
-    steps : int
-        Number of uniform RK4 steps over [0, T].
-
-    Returns
-    -------
-    Trajectory with ``steps + 1`` samples, endpoints included.  Raises
-    FloatingPointError if the state stops being finite (runaway step size).
+    In the basis S = (c20 + c02)/sqrt(2), A = (c20 - c02)/sqrt(2) the
+    two-quanta block maps (S, c11) by exp(-i (u + 2 w) dt) R and A by
+    exp(-2i (u + w) dt); R rotates by y = dt sqrt(u^2 + 4 j^2).  Returns
+    R (shape y.shape + (2, 2)), y and s = sin(y) / sqrt(u^2 + 4 j^2).
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    duration = schedule.duration
-    tgrid = np.linspace(0.0, duration, steps + 1)
-    h = duration / steps
+    y = dt * np.sqrt(u * u + 4.0 * j * j)
+    s = dt * np.sinc(y / np.pi)  # sinc keeps s regular at y = 0
+    rot = np.zeros(y.shape + (2, 2), dtype=complex)
+    rot.real[..., 0, 0] = rot.real[..., 1, 1] = np.cos(y)
+    rot.imag[..., 0, 0] = -s * u
+    rot.imag[..., 1, 1] = s * u
+    rot.imag[..., 0, 1] = rot.imag[..., 1, 0] = 2.0 * s * j
+    return rot, y, s
+
+
+def _one_quantum(theta, turn, v):
+    """(c10, c01) evolved from the pair ``v`` under integrated coupling
+    ``theta`` with the frequency phase turn = exp(-i w t).  The one-quantum
+    Hamiltonians commute, so no other trace of the controls enters."""
+    cos, isin = np.cos(theta), 1j * np.sin(theta)
+    return turn * (cos * v[0] + isin * v[1]), turn * (isin * v[0] + cos * v[1])
+
+
+def _rk4(schedule, tgrid, omega_eff, out):
+    """Filler of rows lo + 1 .. hi of ``out`` from row lo by RK4 steps: the
+    equations are linear, so each step is a matrix polynomial in the block
+    generators, built vectorised and chained onto each block's amplitudes."""
+    h = schedule.duration / (tgrid.size - 1)
     u_nodes, j_nodes = schedule.controls_at(tgrid)
     u_mid, j_mid = schedule.controls_at(tgrid[:-1] + 0.5 * h)
-    omega_eff = effective_frequency(params)
 
-    out = np.empty((steps + 1, 6), dtype=complex)
-    out[0] = state.as_array()
-    out[:, 0] = state.c00
-    for lo in range(0, steps, _CHUNK):
-        hi = min(lo + _CHUNK, steps)
+    def fill(lo, hi):
         nodes = _generators(u_nodes[lo:hi + 1], j_nodes[lo:hi + 1], omega_eff)
         mids = _generators(u_mid[lo:hi], j_mid[lo:hi], omega_eff)
         for cols, node, mid in zip((_ONE, _TWO), nodes, mids):
             out[lo + 1:hi + 1, cols] = _chain(_rk4_steps(node, mid, h), out[lo, cols])[1:]
+    return fill
+
+
+def _exact(cv, tgrid, omega_eff, out):
+    """Filler of rows lo + 1 .. hi of ``out`` in closed form under the
+    piecewise-constant controls ``cv``: (c10, c01) from the integrated
+    coupling Theta(t); in the (S, c11, A) basis of ``_rotation`` the phases
+    exp(-i (Phi + 2 w t)) on (S, c11) and exp(-2i (Phi + w t)) on A, with
+    Phi(t) the integrated nonlinearity, and the chained rotations of the
+    whole segments, each sample advanced by its offset into its segment."""
+    dt = cv.duration / cv.segments
+    k = cv._segment(tgrid)
+    offset = tgrid - k * dt
+    u, j = cv.u[k], cv.j[k]
+    phi = dt * np.cumsum(np.append(0.0, cv.u))[k] + offset * u
+    theta = dt * np.cumsum(np.append(0.0, cv.j))[k] + offset * j
+    x0 = _Q_SYM @ out[0, _TWO]  # (S, c11, A)
+    edges = _chain(_rotation(cv.u, cv.j, dt)[0], x0[:2, None])
+
+    def fill(lo, hi):
+        rows = slice(lo + 1, hi + 1)
+        t = tgrid[rows]
+        rot = _rotation(u[rows], j[rows], offset[rows])[0]
+        pair = (rot @ edges[k[rows]])[..., 0]
+        pair *= np.exp(-1j * (phi[rows] + 2.0 * omega_eff * t))[:, None]
+        anti = x0[2] * np.exp(-2j * (phi[rows] + omega_eff * t))
+        out[rows, _TWO] = np.column_stack((pair, anti)) @ _Q_SYM
+        one = _one_quantum(theta[rows], np.exp(-1j * omega_eff * t), out[0, _ONE])
+        out[rows, _ONE] = np.column_stack(one)
+    return fill
+
+
+def propagate(
+    state: TruncatedState,
+    schedule: ControlSchedule | ControlVector,
+    params: JunctionParams,
+    steps: int = 10_000,
+) -> Trajectory:
+    """The state, from its initial amplitudes ``state``, at ``steps`` + 1
+    uniform times over [0, T], endpoints included, filled ``_CHUNK`` steps
+    at a time.
+
+    A sampled ``ControlSchedule`` (U and J linearly interpolated between
+    samples) is integrated by fixed-step classical 4th-order Runge-Kutta;
+    piecewise-constant ``ControlVector`` controls are propagated exactly,
+    up to floating point, whatever ``steps``.  ``params`` holds the
+    frequency and loss rate.  Raises FloatingPointError if the state stops
+    being finite (runaway step size).
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    tgrid = np.linspace(0.0, schedule.duration, steps + 1)
+    out = np.empty((steps + 1, 6), dtype=complex)
+    out[0] = state.as_array()
+    out[:, 0] = state.c00
+    method = _exact if isinstance(schedule, ControlVector) else _rk4
+    fill = method(schedule, tgrid, effective_frequency(params), out)
+    for lo in range(0, steps, _CHUNK):
+        hi = min(lo + _CHUNK, steps)
+        fill(lo, hi)
         bad = ~np.all(np.isfinite(out[lo + 1:hi + 1]), axis=1)
         if bad.any():
             k = lo + 1 + int(np.argmax(bad))
@@ -332,70 +417,3 @@ def propagate(
                 f"(step {k}/{steps}); reduce the step size or the controls"
             )
     return Trajectory(times=tgrid, amplitudes=out)
-
-
-def _one_quantum_propagator(j, omega_eff, dt):
-    """exp(-i dt H1) for the (c10, c01) block; broadcasts over ``j``."""
-    j = np.asarray(j, dtype=float)
-    c = np.cos(j * dt)
-    s = np.sin(j * dt)
-    out = np.empty(j.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c
-    out[..., 1, 1] = c
-    out[..., 0, 1] = 1j * s
-    out[..., 1, 0] = 1j * s
-    return np.exp(-1j * omega_eff * dt) * out
-
-
-def _two_quanta_propagator(u, j, omega_eff, dt):
-    """exp(-i dt H2) for the (c20, c11, c02) block; broadcasts over u, j.
-
-    Built in the symmetric/antisymmetric basis where H2 splits into a 2x2
-    part with Rabi frequency sqrt(u^2 + 4 j^2) and a pure phase on
-    (c20 - c02)/sqrt(2), then rotated back.
-    """
-    u = np.asarray(u, dtype=float)
-    j = np.asarray(j, dtype=float)
-    u, j = np.broadcast_arrays(u, j)
-    r = np.sqrt(u * u + 4.0 * j * j)
-    y = r * dt
-    sc = np.sinc(y / np.pi)  # sin(y)/y, regular at 0
-    cy = np.cos(y)
-    q = np.exp(-1j * (u + 2.0 * omega_eff) * dt)
-    pa = np.exp(-2j * (u + omega_eff) * dt)
-
-    d = np.zeros(u.shape + (3, 3), dtype=complex)
-    d[..., 0, 0] = q * (cy - 1j * dt * sc * u)
-    d[..., 0, 1] = q * (2j * dt * sc * j)
-    d[..., 1, 0] = d[..., 0, 1]
-    d[..., 1, 1] = q * (cy + 1j * dt * sc * u)
-    d[..., 2, 2] = pa
-    return _Q_SYM @ d @ _Q_SYM
-
-
-def evolve_constant(
-    state: TruncatedState,
-    u: float,
-    j: float,
-    params: JunctionParams,
-    duration: float,
-) -> TruncatedState:
-    """Closed-form propagation under constant controls.
-
-    Exact up to floating point: each block is a small matrix exponential
-    evaluated analytically.  Serves as the independent oracle for the RK4
-    integrator and for the control optimiser's objective.
-    """
-    omega_eff = effective_frequency(params)
-    a = _one_quantum_propagator(float(j), omega_eff, duration)
-    b = _two_quanta_propagator(float(u), float(j), omega_eff, duration)
-    one = a @ np.array([state.c10, state.c01], dtype=complex)
-    two = b @ np.array([state.c20, state.c11, state.c02], dtype=complex)
-    return TruncatedState(
-        c00=state.c00,
-        c10=complex(one[0]),
-        c01=complex(one[1]),
-        c11=complex(two[1]),
-        c20=complex(two[0]),
-        c02=complex(two[2]),
-    )

@@ -35,10 +35,13 @@ import numpy as np
 
 from . import shortcuts
 from .dynamics import (
+    ControlVector,
     InitialPreparation,
     JunctionParams,
     SQRT2,
     _chain,
+    _one_quantum,
+    _rotation,
     effective_frequency,
     initial_state,
     symmetric_preparation,
@@ -55,30 +58,9 @@ _MAX_STEP = 1e3
 
 _log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class ControlVector:
-    """Piecewise-constant controls on N equal segments of [0, T]."""
-
-    u: np.ndarray
-    j: np.ndarray
-    duration: float
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        j = np.asarray(self.j, dtype=float)
-        if u.ndim != 1 or u.shape != j.shape or u.size == 0:
-            raise ValueError("u and j must be 1-d arrays of equal nonzero length")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(j))):
-            raise ValueError("controls must be finite")
-        if not math.isfinite(self.duration) or self.duration < 0.0:
-            raise ValueError("duration must be finite and >= 0")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "j", j)
-
-    @property
-    def segments(self) -> int:
-        return self.u.size
+#: The fast shortcut's reference profile, whose controls seed every
+#: ``maximize``; its spline coefficients are exact rational solves.
+_FAST_PROFILE = shortcuts.profile_fast()
 
 
 @dataclass(frozen=True)
@@ -97,10 +79,13 @@ class SweepCurve:
     kappa: float
 
 
-def _prep_blocks(prep: InitialPreparation, params: JunctionParams):
+def _prep_blocks(prep: InitialPreparation | None, params: JunctionParams | None):
     """The preparation in the optimiser's frame: the one-quantum pair
     (c10, c01), the two-quanta pair (S, c11) with S = (c20 + c02)/sqrt(2),
-    alpha^2 and the complex frequency."""
+    alpha^2 and the complex frequency.  ``None`` stands for the symmetric
+    preparation at alpha = 0.1 and for lossless controls at omega = 0."""
+    prep = prep if prep is not None else symmetric_preparation(0.1)
+    params = params if params is not None else JunctionParams()
     state = initial_state(prep)
     y0 = np.array([state.c10, state.c01], dtype=complex)
     x0 = np.array([(state.c20 + state.c02) / SQRT2, state.c11], dtype=complex)
@@ -114,34 +99,21 @@ def _forward(uj, duration, y0, x0, omega_eff):
 
     ``uj`` holds one row of controls per start, shape (starts, 2, segments),
     u in ``uj[:, 0]`` and j in ``uj[:, 1]``.  Segment k maps (S, c11) by
-    q_k R_k with q_k = exp(-i (u_k + 2 omega) dt); the phases multiply out
-    to one per start, so only the rotations R_k, of angle
-    y = dt sqrt(u^2 + 4 j^2), are chained.  They come back segment-major,
-    (segments, starts, 2, 2), so that one stacked product per segment
-    advances every start; the states are stacked (segments + 1, starts,
-    2, 1) columns, the initial ones first, and y and
-    s = sin(y) / sqrt(u^2 + 4 j^2) are segment-major too, (segments, starts).
-    The one-quantum block depends on the coupling only through
-    Theta = dt sum(j), so its final amplitudes have a closed form.
+    a phase times the rotation R_k of ``dynamics._rotation``; the phases
+    multiply out to one per start, so only the rotations are chained.  They
+    come back segment-major, (segments, starts, 2, 2), so that one stacked
+    product per segment advances every start; the states are stacked
+    (segments + 1, starts, 2, 1) columns, the initial ones first, and the
+    angles y and ``_rotation``'s s are (segments, starts) too.  The
+    one-quantum amplitudes follow from Theta = dt sum(j).
     """
     starts, _, n = uj.shape
     dt = duration / n
-    u, j = uj[:, 0].T, uj[:, 1].T
-    y = dt * np.sqrt(u * u + 4.0 * j * j)
-    s = dt * np.sinc(y / np.pi)  # sinc keeps s regular at y = 0
-    rot = np.zeros((n, starts, 2, 2), dtype=complex)
-    rot.real[..., 0, 0] = rot.real[..., 1, 1] = np.cos(y)
-    rot.imag[..., 0, 0] = -s * u
-    rot.imag[..., 1, 1] = s * u
-    rot.imag[..., 0, 1] = rot.imag[..., 1, 0] = 2.0 * s * j
+    rot, y, s = _rotation(uj[:, 0].T, uj[:, 1].T, dt)
     xs = _chain(rot, np.repeat(x0[None, :, None], starts, axis=0))
     sums = uj.sum(axis=2)
     phase = np.exp(-1j * (dt * sums[:, 0] + 2.0 * omega_eff * duration))
-    theta = dt * sums[:, 1]
-    cos, isin = np.cos(theta), 1j * np.sin(theta)
-    turn = np.exp(-1j * omega_eff * duration)
-    c10 = turn * (cos * y0[0] + isin * y0[1])
-    c01 = turn * (isin * y0[0] + cos * y0[1])
+    c10, c01 = _one_quantum(dt * sums[:, 1], np.exp(-1j * omega_eff * duration), y0)
     return rot, xs, y, s, phase, c10, c01, phase * xs[-1, :, 1, 0]
 
 
@@ -163,8 +135,6 @@ def objective(
     params: JunctionParams | None = None,
 ) -> float:
     """Final normalised dominant concurrence C(T)/alpha^2 of the controls."""
-    prep = prep if prep is not None else symmetric_preparation(0.1)
-    params = params if params is not None else JunctionParams()
     y0, x0, alpha_sq, omega_eff = _prep_blocks(prep, params)
     return _objective_value(
         controls.u[None], controls.j[None], controls.duration, y0, x0, alpha_sq, omega_eff
@@ -257,8 +227,6 @@ def objective_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the objective w.r.t. (u, j), by the adjoint method
     through the segment rotations."""
-    prep = prep if prep is not None else symmetric_preparation(0.1)
-    params = params if params is not None else JunctionParams()
     y0, x0, alpha_sq, omega_eff = _prep_blocks(prep, params)
     _, gu, gj = _objective_and_gradient(
         controls.u[None], controls.j[None], controls.duration, y0, x0, alpha_sq, omega_eff
@@ -423,7 +391,7 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, tar
 def shortcut_seed(duration: float, segments: int, bounds: tuple[float, float]) -> ControlVector:
     """Fast-shortcut controls resampled to segment midpoints and clipped."""
     mid = (np.arange(segments) + 0.5) / segments
-    u, j = shortcuts._controls_on(shortcuts.profile_fast(), duration, mid)
+    u, j = shortcuts._controls_on(_FAST_PROFILE, duration, mid)
     u, j = project(u, j, bounds)
     return ControlVector(u=u, j=j, duration=duration)
 
@@ -472,8 +440,6 @@ def _maximize(
         raise ValueError(f"bounds must be two finite values >= 0, got {tuple(bounds)}")
     if any(cv.segments != segments for cv in extra_starts):
         raise ValueError(f"extra starts must have {segments} segments")
-    params = params if params is not None else JunctionParams()
-    prep = prep if prep is not None else symmetric_preparation(0.1)
     y0, x0, alpha_sq, omega_eff = _prep_blocks(prep, params)
 
     if duration == 0.0:
@@ -524,12 +490,9 @@ def _resample_piecewise(cv: ControlVector, duration: float, segments: int):
     """Reinterpret piecewise-constant controls on a new duration, padding
     with zero actuation past the old horizon."""
     mid = (np.arange(segments) + 0.5) * duration / segments
-    old_dt = cv.duration / cv.segments
-    idx = np.minimum((mid / old_dt).astype(int), cv.segments - 1)
     inside = mid <= cv.duration
-    u = np.where(inside, cv.u[idx], 0.0)
-    j = np.where(inside, cv.j[idx], 0.0)
-    return ControlVector(u=u, j=j, duration=duration)
+    u, j = cv.controls_at(mid)
+    return ControlVector(u=np.where(inside, u, 0.0), j=np.where(inside, j, 0.0), duration=duration)
 
 
 def minimum_time(

@@ -16,6 +16,7 @@ import pytest
 
 from bjjctrl import (
     ControlSchedule,
+    ControlVector,
     JunctionParams,
     TruncatedState,
     concurrence,
@@ -24,7 +25,6 @@ from bjjctrl import (
     dominant_trace,
     entanglement_exact,
     entanglement_of_concurrence,
-    evolve_constant,
     initial_state,
     maximize,
     minimum_time,
@@ -142,7 +142,7 @@ def test_criterion_5_oracle_equivalence():
         traj = propagate(
             state, ControlSchedule.constant(u, j, duration), params, steps=3000
         )
-        want = evolve_constant(state, u, j, params, duration)
+        want = propagate(state, ControlVector([u], [j], duration), params, steps=1).final
         worst = max(worst, np.max(np.abs(traj.final.as_array() - want.as_array())))
     ok = worst <= 1e-9
     report(5, ok, f"max componentwise error={worst:.2e} over 100 instances")

@@ -166,12 +166,44 @@ def test_simulate_rejects_missing_file(tmp_path):
     assert code == 2
 
 
-def test_simulate_rejects_non_numeric_row(tmp_path):
+def test_simulate_replays_optimized_controls_exactly(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = main_in_process(
+        capsys, "optimize", "--T", "7", "--segments", "20", "--seeds", "2", "--out", "x.csv"
+    )
+    assert code == 0, err
+    objective = json.loads(out)["objective"]
+    code, out, err = main_in_process(capsys, "simulate", "--schedule", "x.csv")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["T"] == 7.0
+    assert abs(doc["final_concurrence_norm"] - objective) <= 1e-9
+
+
+#: Segments as ``optimize`` writes them: T from the config line, segment k
+#: starting at k * T / N.
+SEGMENTS = (
+    '# config={"t": 2.0}\n'
+    "segment,t_start,u,j\n0,0.0,0.5,0.1\n1,0.5,0.5,0.1\n2,1.0,0.5,0.1\n3,1.5,0.5,0.1\n"
+)
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("t,u,j\n0,0.5,0.1\n1,oops,0.1\n2,0.5,0.1\n3,0.5,0.1\n", "oops"),
+    ("kappa,T,objective\n0.0,1.0,0.5\n0.0,2.0,1.5\n", "header"),
+    ("T,lhs\n0.5,1.0\n1.0,2.0\n", "header"),
+    ("0,0.5,0.1\n1,0.5,0.1\n", "header"),
+    (SEGMENTS.split("\n", 1)[1], "config"),
+    (SEGMENTS.replace("2,1.0,", "2,1.01,"), "grid"),
+    ("t,u,j\n0,0.5,0.1\n1,0.5\n", "columns"),
+], ids=["non_numeric", "sweep_csv", "duration_csv", "no_header", "segments_without_config",
+        "segment_off_grid", "short_row"])
+def test_simulate_rejects_non_numeric_row(tmp_path, capsys, text, needle):
     sched_file = tmp_path / "bad.csv"
-    sched_file.write_text("t,u,j\n0,0.5,0.1\n1,oops,0.1\n2,0.5,0.1\n3,0.5,0.1\n")
-    code, out, err = run_cli("simulate", "--schedule", str(sched_file))
+    sched_file.write_text(text)
+    code, out, err = main_in_process(capsys, "simulate", "--schedule", str(sched_file))
     assert code == 2
-    assert "oops" in err and out == ""
+    assert err.startswith("configuration error") and needle in err and out == ""
 
 
 # ---------------------------------------------------------------------------

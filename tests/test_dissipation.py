@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bjjctrl import (
+    ControlVector,
     JunctionParams,
     dissipative_trace,
-    evolve_constant,
     initial_state,
     propagate,
     symmetric_preparation,
@@ -26,8 +26,9 @@ def test_effective_params_substitution():
 def test_one_quantum_amplitudes_decay_at_half_rate():
     kappa, duration = 0.3, 4.0
     state = initial_state(symmetric_preparation(0.1))
-    base = evolve_constant(state, 0.3, 0.2, JunctionParams(0.0, 0.0), duration)
-    lossy = evolve_constant(state, 0.3, 0.2, JunctionParams(0.0, kappa), duration)
+    controls = ControlVector([0.3], [0.2], duration)
+    base = propagate(state, controls, JunctionParams(0.0, 0.0), steps=1).final
+    lossy = propagate(state, controls, JunctionParams(0.0, kappa), steps=1).final
     half = math.exp(-0.5 * kappa * duration)
     fullr = math.exp(-kappa * duration)
     assert lossy.c10 == pytest.approx(base.c10 * half, abs=1e-14)

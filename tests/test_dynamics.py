@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from bjjctrl import (
     ControlSchedule,
+    ControlVector,
     InitialPreparation,
     JunctionParams,
     TruncatedState,
     dominant_trace,
-    evolve_constant,
     initial_state,
+    objective,
     propagate,
     symmetric_preparation,
 )
@@ -76,6 +77,12 @@ def rk4_oracle(state, schedule, omega, kappa, steps):
     return np.array(out)
 
 
+def one_segment(state, u, j, params, duration):
+    """Closed-form propagation under constant controls: a one-segment
+    ControlVector."""
+    return propagate(state, ControlVector([u], [j], duration), params, steps=1).final
+
+
 def smooth_schedule(duration, phase=0.0, samples=2001):
     t = np.linspace(0.0, duration, samples)
     u = 0.35 + 0.25 * np.sin(2.0 * np.pi * t / duration + phase)
@@ -110,18 +117,18 @@ def test_weak_pumping_cap_rejected():
 
 
 # ---------------------------------------------------------------------------
-# evolve_constant (closed form) against the brute-force exponential
+# one constant segment (closed form) against the brute-force exponential
 
 def test_evolve_constant_zero_time_is_identity():
     state = initial_state(symmetric_preparation(0.2))
-    out = evolve_constant(state, 0.7, 0.2, JunctionParams(0.3, 0.1), 0.0)
+    out = one_segment(state, 0.7, 0.2, JunctionParams(0.3, 0.1), 0.0)
     assert np.allclose(out.as_array(), state.as_array(), atol=1e-15)
 
 
 def test_evolve_constant_pure_nonlinearity_phases():
     state = TruncatedState(c20=0.3, c11=0.5, c02=0.2j)
     u, duration = 0.8, 1.7
-    out = evolve_constant(state, u, 0.0, JunctionParams(), duration)
+    out = one_segment(state, u, 0.0, JunctionParams(), duration)
     phase = np.exp(-2j * u * duration)
     assert out.c20 == pytest.approx(0.3 * phase, abs=1e-14)
     assert out.c02 == pytest.approx(0.2j * phase, abs=1e-14)
@@ -131,7 +138,7 @@ def test_evolve_constant_pure_nonlinearity_phases():
 def test_evolve_constant_coupling_eigenmodes():
     state = TruncatedState(c10=0.3, c01=0.1)
     j, duration = 0.4, 2.1
-    out = evolve_constant(state, 0.0, j, JunctionParams(), duration)
+    out = one_segment(state, 0.0, j, JunctionParams(), duration)
     plus = (out.c10 + out.c01)
     minus = (out.c10 - out.c01)
     assert plus == pytest.approx(0.4 * np.exp(1j * j * duration), abs=1e-14)
@@ -148,7 +155,7 @@ def test_evolve_constant_matches_expm_oracle(rng):
         omega = rng.uniform(-0.8, 0.8)
         kappa = rng.choice([0.0, 0.15])
         duration = rng.uniform(0.0, 8.0)
-        got = evolve_constant(state, u, j, JunctionParams(omega, kappa), duration)
+        got = one_segment(state, u, j, JunctionParams(omega, kappa), duration)
         want = expm_oracle(state, u, j, omega, kappa, duration)
         worst = max(worst, np.max(np.abs(got.as_array() - want)))
     assert worst < 1e-12
@@ -170,7 +177,7 @@ def test_propagate_against_constant_oracle():
     u, j, duration = 0.5, 0.25, 10.0
     schedule = ControlSchedule.constant(u, j, duration)
     traj = propagate(state, schedule, JunctionParams(), steps=10_000)
-    want = evolve_constant(state, u, j, JunctionParams(), duration)
+    want = one_segment(state, u, j, JunctionParams(), duration)
     assert np.max(np.abs(traj.final.as_array() - want.as_array())) < 1e-9
 
 
@@ -184,7 +191,7 @@ def test_propagate_random_constant_instances(rng):
         params = JunctionParams(rng.uniform(-0.5, 0.5), rng.choice([0.0, 0.1]))
         duration = rng.uniform(0.2, 2.5)
         traj = propagate(state, ControlSchedule.constant(u, j, duration), params, steps=3000)
-        want = evolve_constant(state, u, j, params, duration)
+        want = one_segment(state, u, j, params, duration)
         worst = max(worst, np.max(np.abs(traj.final.as_array() - want.as_array())))
     assert worst < 1e-9
 
@@ -265,6 +272,50 @@ def test_manifold_populations_decay_as_exp_minus_n_kappa_t(run):
     for n, pop in enumerate(traj.manifold_populations(), start=1):
         want = pop[0] * np.exp(-n * params.kappa * traj.times)
         assert np.max(np.abs(pop - want)) <= 1e-8 * pop[0]
+
+
+@st.composite
+def piecewise_runs(draw):
+    """Random controls on 1-20 equal segments of [0, T] with T in [0, 10],
+    a random complex preparation with alpha^2 > 1e-8, a frequency in [-0.5, 0.5], a loss rate
+    of 0 or 0.08, and a step count that is not a multiple of the segment
+    count (but for one segment)."""
+    n = draw(st.integers(1, 20))
+    u = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    j = draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n))
+    cv = ControlVector(u, j, draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))))
+    parts = draw(st.lists(st.floats(-0.15, 0.15), min_size=4, max_size=4))
+    assume(sum(p * p for p in parts) > 1e-8)  # C/alpha^2 needs a nonzero alpha
+    prep = InitialPreparation(complex(*parts[:2]), complex(*parts[2:]))
+    params = JunctionParams(draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.0, 0.08])))
+    steps = draw(st.integers(1, 500).filter(lambda k: n == 1 or k % n))
+    return cv, prep, params, steps
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(piecewise_runs())
+def test_piecewise_controls_propagate_exactly(run):
+    """A ControlVector runs in closed form: the final C/alpha^2 is the
+    optimiser's objective, and each manifold population decays as
+    exp(-n kappa t) at every sample, including those inside a segment."""
+    cv, prep, params, steps = run
+    traj = propagate(initial_state(prep), cv, params, steps)
+    assert traj.times.size == steps + 1 and traj.times[-1] == cv.duration
+    final = dominant_trace(traj.amplitudes)[-1] / prep.alpha_sq
+    assert final == pytest.approx(objective(cv, prep, params), abs=1e-9)
+    for n, pop in enumerate(traj.manifold_populations(), start=1):
+        want = pop[0] * np.exp(-n * params.kappa * traj.times)
+        assert np.max(np.abs(pop - want)) <= 1e-12 * pop[0]
+
+
+def test_piecewise_controls_at_picks_the_segment_holding_t():
+    cv = ControlVector([0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0], 2.0)
+    u, j = cv.controls_at(np.array([0.0, 0.49, 0.5, 1.2, 1.99, 2.0]))
+    assert u.tolist() == [0.1, 0.1, 0.2, 0.3, 0.4, 0.4]
+    assert j.tolist() == [1.0, 1.0, 2.0, 3.0, 4.0, 4.0]
+    assert cv.controls_at(2.0) == (0.4, 4.0)
+    instant = ControlVector([0.1, 0.2], [1.0, 2.0], 0.0)
+    assert instant.controls_at(np.zeros(3))[0].tolist() == [0.1, 0.1, 0.1]
 
 
 def test_symmetric_preparation_keeps_c20_c02_equal():

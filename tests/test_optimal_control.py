@@ -13,12 +13,12 @@ from bjjctrl import (
     ControlVector,
     InitialPreparation,
     JunctionParams,
-    evolve_constant,
     initial_state,
     maximize,
     minimum_time,
     objective,
     objective_gradient,
+    propagate,
     shortcut_seed,
     sweep,
     symmetric_preparation,
@@ -40,11 +40,11 @@ def random_vector(rng, n=30, duration=None):
 
 
 def chained_oracle(cv, prep, params):
-    """Objective recomputed through the public constant-control propagator."""
+    """Objective recomputed by propagating one segment at a time."""
     state = initial_state(prep)
     dt = cv.duration / cv.segments
     for k in range(cv.segments):
-        state = evolve_constant(state, cv.u[k], cv.j[k], params, dt)
+        state = propagate(state, ControlVector([cv.u[k]], [cv.j[k]], dt), params, steps=1).final
     return 2.0 * abs(state.c11 - state.c10 * state.c01) / prep.alpha_sq
 
 
@@ -595,3 +595,18 @@ def test_sweep_accepts_generator_of_rates():
     rates = (k for k in [0.0, 0.05])
     curves = sweep([1.0, 2.0], BOUNDS, 10, rates, seeds=1, max_iter=50)
     assert [c.kappa for c in curves] == [0.0, 0.05]
+
+
+def test_benchmark_entry_points_stay_importable():
+    """bench/run.py --trace 1 times the objective and its gradient on a
+    ControlVector built from bjjctrl.optimal_control, and bench/workloads.py
+    reads the controls of shortcut_seed."""
+    from bjjctrl.optimal_control import ControlVector as ImportedVector
+
+    prep = symmetric_preparation(0.1)
+    cv = ImportedVector(u=np.full(10, 0.5), j=np.full(10, 0.2), duration=7.0)
+    assert objective(cv, prep) > 0.0
+    gu, gj = objective_gradient(cv, prep)
+    assert gu.shape == gj.shape == (10,)
+    seed = shortcut_seed(7.0, 10, BOUNDS)
+    assert seed.u.shape == seed.j.shape == (10,)

@@ -356,22 +356,24 @@ def _load_schedule(path) -> ControlSchedule | ControlVector:
                     config = line[len("# config="):]
                 if not line or line.startswith("#"):
                     continue
-                fields = line.split(",")
                 if layout is None:
+                    fields = line.split(",")
                     layout = next(
                         (h for h in (_SAMPLED, _SEGMENTS) if tuple(fields[:len(h)]) == h), None
                     )
                     if layout is None:
                         raise ConfigError(f"want a t,u,j or segment,t_start,u,j header: {line!r}")
                     columns = [[] for _ in layout]
-                elif len(fields) < len(layout):
+                    appends = [column.append for column in columns]
+                    continue
+                fields = line.split(",", len(layout))  # columns past the layout stay unsplit
+                if len(fields) < len(layout):
                     raise ConfigError(f"schedule rows need {','.join(layout)} columns: {line!r}")
-                else:
-                    try:
-                        for column, field in zip(columns, fields):
-                            column.append(float(field))
-                    except ValueError:
-                        raise ConfigError(f"non-numeric schedule row: {line!r}")
+                try:
+                    for append, field in zip(appends, fields):
+                        append(float(field))
+                except ValueError:
+                    raise ConfigError(f"non-numeric schedule row: {line!r}")
     except OSError as exc:
         raise ConfigError(f"cannot read schedule: {exc}")
     if layout is None or not columns[0]:

@@ -38,10 +38,18 @@ MAX_ALPHA_SQ = 0.1
 #: Column order of amplitude arrays throughout the package.
 AMPLITUDE_LABELS = ("c00", "c10", "c01", "c11", "c20", "c02")
 
-#: Basis change (c20, c11, c02) -> ((c20+c02)/s2, c11, (c20-c02)/s2).
-#: Orthogonal involution; conjugating with it block-diagonalises the
-#: two-quanta system into a symmetric 2x2 part and a decoupled mode.
-_Q_SYM = np.array([[1.0, 0.0, 1.0], [0.0, SQRT2, 0.0], [1.0, 0.0, -1.0]]) / SQRT2
+#: Amplitude columns of the one-quanta (c10, c01) and two-quanta
+#: (c20, c11, c02) blocks, in the order the block matrices use.
+_ONE = [1, 2]
+_TWO = [4, 3, 5]
+
+#: Basis change of amplitude rows to (c00, P, M, c11, S, A), with P, M =
+#: (c10 +- c01)/s2 and S, A = (c20 +- c02)/s2: a symmetric orthogonal
+#: involution that leaves a 2x2 block on (S, c11) and scalar modes P, M, A.
+#: ``_Q_SYM`` is its two-quanta part, in the order of ``_TWO``.
+_FRAME = np.eye(6)
+_FRAME[1:3, 1:3] = _FRAME[4:, 4:] = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
+_Q_SYM = _FRAME[np.ix_(_TWO, _TWO)]
 
 
 @dataclass(frozen=True)
@@ -255,43 +263,52 @@ def initial_state(prep: InitialPreparation) -> TruncatedState:
     )
 
 
-#: Amplitude columns of the one-quanta (c10, c01) and two-quanta
-#: (c20, c11, c02) blocks, in the order the block matrices use.
-_ONE = [1, 2]
-_TWO = [4, 3, 5]
-
-#: Steps whose RK4 matrices ``propagate`` builds at once.  Building all
-#: 10k steps of a shortcut run together lifted its peak memory from 43 to
-#: 55 MB; chunks keep the temporaries small at no measurable speed cost.
-_CHUNK = 256
+#: Steps that ``propagate`` fills at once.  A chunk costs RK4 O(log2 _CHUNK)
+#: numpy calls and the closed form a fixed number, so long chunks pay; at
+#: 1024 no temporary exceeds 128 kB, and peak memory is as at 256.
+_CHUNK = 1024
 
 
-def _generators(u, j, omega_eff):
-    """-iH of the one- and two-quanta blocks, stacked over the sample arrays
-    ``u`` and ``j`` (of equal shape)."""
-    one = np.empty(j.shape + (2, 2), dtype=complex)
-    one[..., 0, 0] = one[..., 1, 1] = -1j * omega_eff
-    one[..., 0, 1] = one[..., 1, 0] = 1j * j
-    two = np.zeros(u.shape + (3, 3), dtype=complex)
-    two[..., 0, 0] = two[..., 2, 2] = -2j * (u + omega_eff)
-    two[..., 1, 1] = -2j * omega_eff
-    two[..., 0, 1] = two[..., 1, 0] = two[..., 1, 2] = two[..., 2, 1] = 1j * SQRT2 * j
-    return one, two
+def _mul(x, y):
+    """Products of the matrices x and y of shape (k, k, ...), elementwise
+    over the trailing axes."""
+    return (x[:, :, None] * y).sum(axis=1)
 
 
 def _rk4_steps(node, mid, h):
-    """Classical RK4 step matrices of the linear system y' = M(t) y.
+    """Classical RK4 step matrices of the linear system y' = M(t) y, built
+    elementwise on (k, k, ..., n) component arrays.
 
     ``node`` holds M at the n + 1 step boundaries and ``mid`` at the n
-    midpoints.  Step k is I + h/6 (M1 + 2 M2 P2 + 2 M2 P3 + M4 P4) with
-    P2 = I + h/2 M1, P3 = I + h/2 M2 P2 and P4 = I + h M2 P3.
+    midpoints, along the last axis.  Step k is I + h/6 (M1 + 2 M2 P2 +
+    2 M2 P3 + M4 P4) with P2 = I + h/2 M1, P3 = I + h/2 M2 P2 and
+    P4 = I + h M2 P3.
     """
-    m1, m4 = node[:-1], node[1:]
-    eye = np.eye(node.shape[-1])
-    k2 = mid @ (eye + 0.5 * h * m1)
-    k3 = mid @ (eye + 0.5 * h * k2)
-    k4 = m4 @ (eye + h * k3)
+    m1, m4 = node[..., :-1], node[..., 1:]
+    eye = np.eye(len(node)).reshape(node.shape[:2] + (1,) * (node.ndim - 2))
+    k2 = _mul(mid, eye + 0.5 * h * m1)
+    k3 = _mul(mid, eye + 0.5 * h * k2)
+    k4 = _mul(m4, eye + h * k3)
     return eye + (h / 6.0) * (m1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _prefix(mats):
+    """Inclusive prefix products M_i ... M_1 M_0 of (k, k, n) matrices, in
+    place, in log2(n) rounds of elementwise products (Hillis & Steele)."""
+    d = 1
+    while d < mats.shape[-1]:
+        mats[..., d:] = _mul(mats[..., d:], mats[..., :-d])
+        d *= 2
+    return mats
+
+
+def _frame_generators(u, j, omega_eff):
+    """-iH in the ``_FRAME`` basis over the sample arrays ``u`` and ``j``:
+    the scalars on (P, M, A) as a (1, 1, 3, n) array and the block on
+    (S, c11) as a (2, 2, n) array."""
+    anti = -2j * (u + omega_eff)
+    scalars = np.array([[[1j * j - 1j * omega_eff, -1j * j - 1j * omega_eff, anti]]])
+    return scalars, np.array([[anti, 2j * j], [2j * j, np.full_like(anti, -2j * omega_eff)]])
 
 
 def _chain(mats, v):
@@ -337,18 +354,23 @@ def _one_quantum(theta, turn, v):
 
 
 def _rk4(schedule, tgrid, omega_eff, out):
-    """Filler of rows lo + 1 .. hi of ``out`` from row lo by RK4 steps: the
-    equations are linear, so each step is a matrix polynomial in the block
-    generators, built vectorised and chained onto each block's amplitudes."""
+    """Filler of rows lo + 1 .. hi of ``out`` from row lo by RK4 steps.  In
+    the ``_FRAME`` basis the step matrices are elementwise: the scalar modes
+    P, M and A advance by cumulative products of their step factors, and
+    (S, c11) by the prefix products of its 2x2 steps."""
     h = schedule.duration / (tgrid.size - 1)
     u_nodes, j_nodes = schedule.controls_at(tgrid)
     u_mid, j_mid = schedule.controls_at(tgrid[:-1] + 0.5 * h)
 
     def fill(lo, hi):
-        nodes = _generators(u_nodes[lo:hi + 1], j_nodes[lo:hi + 1], omega_eff)
-        mids = _generators(u_mid[lo:hi], j_mid[lo:hi], omega_eff)
-        for cols, node, mid in zip((_ONE, _TWO), nodes, mids):
-            out[lo + 1:hi + 1, cols] = _chain(_rk4_steps(node, mid, h), out[lo, cols])[1:]
+        nodes = _frame_generators(u_nodes[lo:hi + 1], j_nodes[lo:hi + 1], omega_eff)
+        mids = _frame_generators(u_mid[lo:hi], j_mid[lo:hi], omega_eff)
+        scalars, pair = (_rk4_steps(node, mid, h) for node, mid in zip(nodes, mids))
+        x = _FRAME @ out[lo]
+        rows = out[lo + 1:hi + 1]
+        rows[:, [1, 2, 5]] = (np.cumprod(scalars[0, 0], axis=-1) * x[[1, 2, 5], None]).T
+        rows[:, [4, 3]] = (_prefix(pair) * x[[4, 3], None]).sum(axis=1).T
+        rows[:] = rows @ _FRAME
     return fill
 
 
@@ -392,11 +414,13 @@ def propagate(
     at a time.
 
     A sampled ``ControlSchedule`` (U and J linearly interpolated between
-    samples) is integrated by fixed-step classical 4th-order Runge-Kutta;
-    piecewise-constant ``ControlVector`` controls are propagated exactly,
-    up to floating point, whatever ``steps``.  ``params`` holds the
-    frequency and loss rate.  Raises FloatingPointError if the state stops
-    being finite (runaway step size).
+    samples) is integrated by fixed-step classical 4th-order Runge-Kutta,
+    per chunk a cumulative product on each scalar mode of ``_FRAME`` and a
+    prefix product on (S, c11); piecewise-constant ``ControlVector``
+    controls are propagated exactly, up to floating point, whatever
+    ``steps``.  ``params`` holds the frequency and loss rate.  Raises
+    FloatingPointError (and warns of nothing) if the state stops being
+    finite (runaway step size).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -406,14 +430,15 @@ def propagate(
     out[:, 0] = state.c00
     method = _exact if isinstance(schedule, ControlVector) else _rk4
     fill = method(schedule, tgrid, effective_frequency(params), out)
-    for lo in range(0, steps, _CHUNK):
-        hi = min(lo + _CHUNK, steps)
-        fill(lo, hi)
-        bad = ~np.all(np.isfinite(out[lo + 1:hi + 1]), axis=1)
-        if bad.any():
-            k = lo + 1 + int(np.argmax(bad))
-            raise FloatingPointError(
-                f"state became non-finite at t = {tgrid[k]:.6g} "
-                f"(step {k}/{steps}); reduce the step size or the controls"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for lo in range(0, steps, _CHUNK):
+            hi = min(lo + _CHUNK, steps)
+            fill(lo, hi)
+            bad = ~np.all(np.isfinite(out[lo + 1:hi + 1]), axis=1)
+            if bad.any():
+                k = lo + 1 + int(np.argmax(bad))
+                raise FloatingPointError(
+                    f"state became non-finite at t = {tgrid[k]:.6g} "
+                    f"(step {k}/{steps}); reduce the step size or the controls"
+                )
     return Trajectory(times=tgrid, amplitudes=out)

@@ -445,9 +445,10 @@ def _maximize(
     if duration == 0.0:
         # the objective vanishes, and with it every gradient
         zero = np.zeros((1, segments))
+        value = _objective_value(zero, zero, duration, y0, x0, alpha_sq, omega_eff)
         return OptimizationResult(
             best=ControlVector(zero[0], zero[0], duration),
-            objective=_objective_value(zero, zero, duration, y0, x0, alpha_sq, omega_eff)[0],
+            objective=float(value[0]),
             iterations=0,
             converged=True,
             seed=-1,
@@ -479,7 +480,7 @@ def _maximize(
             best = row
     return OptimizationResult(
         best=ControlVector(u=u[best], j=j[best], duration=duration),
-        objective=value[best],
+        objective=float(value[best]),
         iterations=int(iterations[best]),
         converged=stop[best] != "max_iter" and improved,
         seed=labels[best],

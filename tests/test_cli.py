@@ -206,6 +206,47 @@ def test_simulate_rejects_non_numeric_row(tmp_path, capsys, text, needle):
     assert err.startswith("configuration error") and needle in err and out == ""
 
 
+def test_simulate_runaway_fails_with_one_line(tmp_path):
+    sched_file = tmp_path / "runaway.csv"
+    sched_file.write_text("t,u,j\n0,0,1e6\n1,0,1e6\n")
+    code, out, err = run_cli("simulate", "--schedule", str(sched_file), "--steps", "50")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "non-finite" in err
+
+
+def test_shortcut_trace_reads_back_as_its_schedule(tmp_path, monkeypatch, capsys):
+    """A trace's t, u, j columns load as the same floats; its five trace
+    columns are ignored."""
+    monkeypatch.chdir(tmp_path)
+    code, _, err = main_in_process(
+        capsys, "shortcut", "--profile", "fast", "--steps", "200", "--out", "trace.csv"
+    )
+    assert code == 0, err
+    _, header, rows = read_csv("trace.csv")
+    assert header == cli._TRACE_HEADER
+    schedule = cli._load_schedule("trace.csv")
+    assert type(schedule) is ControlSchedule
+    for got, column in zip((schedule.times, schedule.u, schedule.j), rows.T):
+        assert np.array_equal(got, column)
+
+
+@pytest.mark.parametrize("column, code", [(5, 0), (1, 2)])
+def test_trace_rows_parse_only_the_schedule_columns(tmp_path, capsys, column, code):
+    """A non-numeric field in a trace column past j still loads; in u it
+    is a configuration error."""
+    fields = ["0", "0.5", "0.1", "0", "0", "0", "0", "0"]
+    fields[column] = "oops"
+    header = ",".join(cli._TRACE_HEADER)
+    sched_file = tmp_path / "trace.csv"
+    sched_file.write_text(f"{header}\n{','.join(fields)}\n1,0.5,0.1,0,0,0,0,0\n")
+    got, out, err = main_in_process(
+        capsys, "simulate", "--schedule", str(sched_file), "--steps", "10"
+    )
+    assert got == code
+    assert (out == "") == bool(code)
+    assert ("non-numeric schedule row" in err) == bool(code)
+
+
 # ---------------------------------------------------------------------------
 # optimization commands
 
@@ -287,11 +328,11 @@ def test_optimiser_commands_reject_invalid_bounds(capsys, argv, bounds):
 #: part of simulate's config line, so the runs share one directory.
 CSV_SHA256 = [
     (("shortcut", "--profile", "fast", "--steps", "200", "--out", "shortcut.csv"),
-     "49390bbaaa069afb62e5c485d18f87081d6fd5e9326e2907f8209a0b6018d9a0",
+     "e2c337560b048c517a72a621cc15ddffd2ead622ae216106973ad40611fcec5e",
      "f6fa3d9110daca8fbb2fbcaeffe5d0054ebd097ee713745aaaffc3757463adb6"),
     (("simulate", "--schedule", "shortcut.csv", "--steps", "200", "--out", "simulate.csv"),
-     "5ce2e029eda6f46561a291bfd63210312deadd2035e2bc7cb0e1a78d4ae9aaf7",
-     "2307b4aa11af8a89180767f93b4dd363e3c5674f5da2dd0babd05b96d2fe3361"),
+     "cfdee558baf2410ca63fb37499ad80867a785fa741dd2b15d213d9cba3d52d4f",
+     "4c023e31cd523fb0e926c00588d5cf0658a324dc18958223bef18d4746bd907c"),
     (("optimize", "--T", "3", "--segments", "10", "--seeds", "1", "--out", "optimize.csv"),
      "9f12f9b96b9e285437e5418e2e903d0f4b3519149f40afeed5f7b22daec467be",
      "8957da0ceda2dd3836ec6e678282dc8e1c654c06a28404361f809d097b0b7998"),
@@ -303,8 +344,8 @@ CSV_SHA256 = [
      "012dc7c6d8607acf3d9f33555ab14a7d9d7726593b6607cea7ddd8794d59e6f5",
      "16bfadfad622aafdda4a78cd307dd591cdfabfd9a36a6b4af199b22f0f335375"),
     (("shortcut", "--profile", "original", "--steps", "200", "--out", "shortcut_original.csv"),
-     "355896995d91ce1f3d49172e8c28df4d59d66d0d40b80006415f7a9537201848",
-     "736acb2c0e6d340cf1aeb1192441b3be51ce4f41db7fc1be5aa9f82acfb21e1a"),
+     "223d0818ec0f2798d563945a53ca711af31ac13316eb5feb2316bf729c5255ba",
+     "e0b6b3ad0469f0cab35f31ac08601200c568ca535afb7572d2f8e5e39f45a2f3"),
 ]
 
 

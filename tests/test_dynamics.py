@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from bjjctrl.dynamics import _CHUNK
+
 from bjjctrl import (
     ControlSchedule,
     ControlVector,
@@ -207,6 +209,38 @@ def test_propagate_matches_stepwise_rk4_oracle(rng, kappa):
         traj = propagate(state, schedule, JunctionParams(0.2, kappa), steps=300)
         want = rk4_oracle(state, schedule, 0.2, kappa, 300)
         assert np.max(np.abs(traj.amplitudes - want)) < 1e-12
+
+
+@st.composite
+def rk4_runs(draw):
+    """A random unnormalised state with c10 != c01 and c20 != c02, so that
+    every scalar mode and the (S, c11) pair carry amplitude; a random
+    linearly interpolated schedule of 2-40 samples on [0, T] with T in
+    [0.5, 2]; a frequency in [-0.5, 0.5], a loss rate in [0, 0.2], and a
+    step count at and around the chunk edges of ``propagate``."""
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+    vec = np.array(parts[:6]) + 1j * np.array(parts[6:])
+    assume(abs(vec[1] - vec[2]) > 1e-3 and abs(vec[4] - vec[5]) > 1e-3)
+    n = draw(st.integers(2, 40))
+    gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1)))
+    times = draw(st.floats(0.5, 2.0)) * np.concatenate(([0.0], np.cumsum(gaps))) / gaps.sum()
+    u = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    j = draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n))
+    omega, kappa = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.0, 0.2))
+    steps = draw(st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]))
+    schedule = ControlSchedule(times, np.array(u), np.array(j))
+    return TruncatedState.from_array(vec), schedule, omega, kappa, steps
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(rk4_runs())
+def test_rk4_matches_stepwise_oracle_on_random_runs(run):
+    """``propagate``'s elementwise RK4 is the textbook step, one step at a
+    time, on every mode and across chunk edges."""
+    state, schedule, omega, kappa, steps = run
+    traj = propagate(state, schedule, JunctionParams(omega, kappa), steps)
+    want = rk4_oracle(state, schedule, omega, kappa, steps)
+    assert np.max(np.abs(traj.amplitudes - want)) < 1e-12
 
 
 def test_propagate_aborts_on_blowup():

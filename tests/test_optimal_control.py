@@ -521,6 +521,17 @@ def test_minimum_time_probes_are_pinned(caplog):
     assert min(iterations) >= 0
 
 
+def test_objective_is_a_python_float(caplog):
+    """The objective is a float, so each probe record shows its repr
+    rather than a numpy scalar's."""
+    for duration in (0.0, 3.0):
+        assert type(maximize(duration, BOUNDS, 6, 1, max_iter=20).objective) is float
+    caplog.set_level(logging.DEBUG, logger="bjjctrl.optimal_control")
+    minimum_time(BOUNDS, segments=6, seeds=1, max_iter=20, coarse=(1.0, 9.0, 4.0), resolution=1.0)
+    probes = [m for m in caplog.messages if m.startswith("minimum_time probe")]
+    assert probes and not any("np.float64" in m for m in probes)
+
+
 def _refuse_to_optimise(*args, **kwargs):
     raise AssertionError("the scan must be validated before optimising")
 

@@ -35,8 +35,6 @@ from .shortcuts import (
     phases,
     profile_fast,
     profile_original,
-    solve_coeffs_E,
-    solve_coeffs_phi,
     solve_duration,
 )
 from .optimal_control import (

@@ -45,6 +45,7 @@ from .entanglement import (
 )
 from .optimal_control import maximize, minimum_time, sweep
 from .shortcuts import (
+    MAX_SCAN_POINTS,
     counterdiabatic_controls,
     duration_lhs,
     profile_fast,
@@ -226,8 +227,10 @@ def _parse_grid(text):
         raise ConfigError(f"duration grid must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ConfigError("duration grid must be increasing")
-    n = int(round((stop - start) / step))
-    return start + step * np.arange(n + 1)
+    count = (stop - start) / step
+    if not count <= MAX_SCAN_POINTS:  # an infinite count fails here too
+        raise ConfigError(f"duration grid {text!r} has more than {MAX_SCAN_POINTS} points")
+    return start + step * np.arange(int(round(count)) + 1)
 
 
 def _build_profile(options):

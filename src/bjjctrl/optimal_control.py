@@ -58,11 +58,6 @@ _MAX_STEP = 1e3
 
 _log = logging.getLogger(__name__)
 
-#: The fast shortcut's reference profile, whose controls seed every
-#: ``maximize``; its spline coefficients are exact rational solves.
-_FAST_PROFILE = shortcuts.profile_fast()
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     best: ControlVector
@@ -391,7 +386,7 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, tar
 def shortcut_seed(duration: float, segments: int, bounds: tuple[float, float]) -> ControlVector:
     """Fast-shortcut controls resampled to segment midpoints and clipped."""
     mid = (np.arange(segments) + 0.5) / segments
-    u, j = shortcuts._controls_on(_FAST_PROFILE, duration, mid)
+    u, j = shortcuts._controls_on(shortcuts.profile_fast(), duration, mid)
     u, j = project(u, j, bounds)
     return ControlVector(u=u, j=j, duration=duration)
 

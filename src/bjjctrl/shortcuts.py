@@ -17,6 +17,9 @@ phase of c10*c01, i.e. theta - zeta = -pi.  That phase-difference
 condition is an algebraic equation fixing the transfer duration T; this
 module solves it for the polynomial reference profile (slow) and for a
 plateau profile that hugs the speed estimate 2*pi/(sqrt(2)-1) (fast).
+Both profiles are piecewise polynomials written in each piece's local
+variable; the fast one's three transitions are fixed regularized
+incomplete beta polynomials, so no coefficients are solved for.
 The condition and both phases are Simpson sums over one per-profile
 table of E0 cos phi, (E0 sin phi)^2, E0 and phi' on fixed nodes.
 
@@ -29,12 +32,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._quadrature import simpson_pieces, simpson_uniform
 from .dynamics import SQRT2, ControlSchedule
 
 #: Peak reference gap; the unit of energy throughout.
@@ -56,10 +57,18 @@ _POINTS_PER_UNIT = 4000
 
 @dataclass(frozen=True)
 class PiecewisePoly:
-    """Polynomial pieces on consecutive intervals of [0, 1]."""
+    """Polynomial pieces on consecutive intervals of [0, 1].
+
+    Each piece's coefficients are in its local variable
+    x = (s - lo) / (hi - lo), which runs over [0, 1] on the piece, so a
+    transition between two knots is written once, whatever the knots, and
+    evaluated without the cancellation that monomials in s suffer near
+    s = 1.  The k-th derivative in s is the k-th derivative in x divided
+    by (hi - lo)^k.
+    """
 
     edges: tuple[float, ...]  # length = number of pieces + 1, increasing
-    coeffs: tuple[tuple[float, ...], ...]  # ascending-order coefficients per piece
+    coeffs: tuple[tuple[float, ...], ...]  # ascending coefficients in x, per piece
 
     def __post_init__(self):
         if len(self.edges) != len(self.coeffs) + 1:
@@ -77,10 +86,12 @@ class PiecewisePoly:
             mask = idx == i
             if not mask.any():
                 continue
-            ci = np.asarray(c, dtype=float)
-            if order:
-                ci = npoly.polyder(ci, m=order) if len(ci) > order else np.zeros(1)
-            out[mask] = npoly.polyval(s[mask], ci)
+            if order >= len(c):
+                out[mask] = 0.0
+                continue
+            lo, width = self.edges[i], self.edges[i + 1] - self.edges[i]
+            ci = npoly.polyder(np.asarray(c, dtype=float), m=order)
+            out[mask] = npoly.polyval((s[mask] - lo) / width, ci) / width**order
         return out
 
 
@@ -93,7 +104,6 @@ class ReferenceProfile:
     kind: str
     angle: PiecewisePoly
     gap: PiecewisePoly
-    knots: tuple[float, float, float] | None = None  # (s0, s1, s2) for "fast"
     # points_per_unit -> phase node table, filled by _node_table
     _node_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -110,91 +120,6 @@ class TransferPhases:
     zeta: float
 
 
-def _solve_exact(rows, rhs) -> np.ndarray:
-    """Gaussian elimination over the rationals.
-
-    The boundary-condition systems are tiny but get badly scaled for
-    knots near the interval ends (coefficients ~1e5 at s0 = 0.9), where a
-    float solve leaves residuals above the advertised accuracy.  Exact
-    rational arithmetic on the (exactly represented) float entries makes
-    the returned coefficients satisfy the conditions to the last bit
-    before the final rounding.
-    """
-    n = len(rhs)
-    m = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if m[piv][col] == 0:
-            raise np.linalg.LinAlgError("singular boundary-condition system")
-        m[col], m[piv] = m[piv], m[col]
-        b[col], b[piv] = b[piv], b[col]
-        for row in range(col + 1, n):
-            f = m[row][col] / m[col][col]
-            if f:
-                for k in range(col, n):
-                    m[row][k] -= f * m[col][k]
-                b[row] -= f * b[col]
-    x = [Fraction(0)] * n
-    for row in range(n - 1, -1, -1):
-        acc = b[row] - sum(m[row][k] * x[k] for k in range(row + 1, n))
-        x[row] = acc / m[row][row]
-    return np.array([float(v) for v in x])
-
-
-def solve_coeffs_E(s0: float) -> np.ndarray:
-    """Quartic gap coefficients e0..e4 for the plateau profile.
-
-    The five conditions are E0(1) = E0'(1) = 0 plus value/slope/curvature
-    matching E0(s0) = 1, E0'(s0) = E0''(s0) = 0 at the plateau edge; the
-    curvature row keeps U_I differentiable across the knot.
-    """
-    if not 0.0 < s0 < 1.0:
-        raise ValueError("s0 must lie strictly inside (0, 1)")
-    s = Fraction(s0)
-    rows = [
-        [1, 1, 1, 1, 1],
-        [0, 1, 2, 3, 4],
-        [1, s, s**2, s**3, s**4],
-        [0, 1, 2 * s, 3 * s**2, 4 * s**3],
-        [0, 0, 1, 3 * s, 6 * s**2],
-    ]
-    return _solve_exact(rows, [0, 0, E0_MAX, 0, 0])
-
-
-def solve_coeffs_phi(s1: float, s2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Angle-branch coefficients (a0..a6, b0..b5) for the plateau profile.
-
-    The entry branch starts at pi/2 with three vanishing derivatives
-    (a0 = pi/2, a1 = a2 = 0 analytically) and lands on the pi/4 plateau at
-    s1 with continuity through the third derivative; the exit branch
-    leaves the plateau at s2 the same way and reaches 0 with zero slope
-    at s = 1.
-    """
-    if not 0.0 < s1 < s2 < 1.0:
-        raise ValueError("knots must satisfy 0 < s1 < s2 < 1")
-    p, q = Fraction(s1), Fraction(s2)
-    quarter_pi = Fraction(math.pi) / 4
-    rows_a = [
-        [p**3, p**4, p**5, p**6],
-        [3 * p**2, 4 * p**3, 5 * p**4, 6 * p**5],
-        [3 * p, 6 * p**2, 10 * p**3, 15 * p**4],
-        [1, 4 * p, 10 * p**2, 20 * p**3],
-    ]
-    rows_b = [
-        [1, 1, 1, 1, 1, 1],
-        [0, 1, 2, 3, 4, 5],
-        [1, q, q**2, q**3, q**4, q**5],
-        [0, 1, 2 * q, 3 * q**2, 4 * q**3, 5 * q**4],
-        [0, 0, 1, 3 * q, 6 * q**2, 10 * q**3],
-        [0, 0, 0, 1, 4 * q, 10 * q**2],
-    ]
-    tail = _solve_exact(rows_a, [-quarter_pi, 0, 0, 0])
-    b_coeffs = _solve_exact(rows_b, [0, 0, quarter_pi, 0, 0, 0])
-    a_coeffs = np.concatenate(([_HALF_PI, 0.0, 0.0], tail))
-    return a_coeffs, b_coeffs
-
-
 def profile_original() -> ReferenceProfile:
     """Single-piece polynomial reference: phi = pi/2 - 2 pi s^3 + (3 pi/2) s^4
     with a linearly closing gap E0 = 1 - s."""
@@ -209,19 +134,40 @@ def profile_original() -> ReferenceProfile:
 def profile_fast(s0: float = 0.9, s1: float = 0.2, s2: float = 0.8) -> ReferenceProfile:
     """Plateau reference: gap pinned at its peak until s0, angle pinned at
     pi/4 on [s1, s2].  Hugging the constant-angle speed optimum keeps the
-    phase-difference duration near the 2*pi/(sqrt(2)-1) estimate; the
-    transients are polynomial with enough smoothness for differentiable
-    controls."""
+    phase-difference duration near the 2*pi/(sqrt(2)-1) estimate.
+
+    Smoothness alone fixes each transition, so each is a regularized
+    incomplete beta polynomial I_x(a, b) in its piece's local variable x:
+
+    - gap on [s0, 1]: 1 - I_x(3, 2) = 1 - 4x^3 + 3x^4, flat through the
+      second derivative at s0 (so U_I stays differentiable) and closing
+      with zero slope at 1;
+    - angle on [0, s1]: pi/2 - (pi/4) I_x(3, 4)
+      = pi/2 - (pi/4)(20x^3 - 45x^4 + 36x^5 - 10x^6), flat through the
+      second derivative at 0 and the third at s1;
+    - angle on [s2, 1]: (pi/4)(1 - I_x(4, 2)) = (pi/4)(1 - 5x^4 + 4x^5),
+      flat through the third derivative at s2 and closing with zero slope
+      at 1.
+
+    In x the coefficients do not depend on the knots and are at most 45
+    times the plateau value.  Expanded in s they would grow like inverse
+    powers of the piece width (about 1e5 for s0 = 0.9) and cancel near
+    s = 1, enough to push the gap above its peak; in x the gap stays in
+    [0, 1] and the angle in [0, pi/2].  Knots outside 0 < s0 < 1,
+    0 < s1 < s2 < 1 raise ValueError.
+    """
     if not 0.0 < s0 < 1.0:
         raise ValueError("s0 must lie strictly inside (0, 1)")
-    a_coeffs, b_coeffs = solve_coeffs_phi(s1, s2)
-    e_coeffs = solve_coeffs_E(s0)
-    angle = PiecewisePoly(
-        edges=(0.0, s1, s2, 1.0),
-        coeffs=(tuple(a_coeffs), (math.pi / 4.0,), tuple(b_coeffs)),
-    )
-    gap = PiecewisePoly(edges=(0.0, s0, 1.0), coeffs=((E0_MAX,), tuple(e_coeffs)))
-    return ReferenceProfile(kind="fast", angle=angle, gap=gap, knots=(s0, s1, s2))
+    if not 0.0 < s1 < s2 < 1.0:
+        raise ValueError("knots must satisfy 0 < s1 < s2 < 1")
+    quarter_pi = math.pi / 4.0
+    entry = (_HALF_PI, 0.0, 0.0, -20.0 * quarter_pi, 45.0 * quarter_pi,
+             -36.0 * quarter_pi, 10.0 * quarter_pi)
+    exit_ = (quarter_pi, 0.0, 0.0, 0.0, -5.0 * quarter_pi, 4.0 * quarter_pi)
+    angle = PiecewisePoly(edges=(0.0, s1, s2, 1.0), coeffs=(entry, (quarter_pi,), exit_))
+    closing = (E0_MAX, 0.0, 0.0, -4.0 * E0_MAX, 3.0 * E0_MAX)
+    gap = PiecewisePoly(edges=(0.0, s0, 1.0), coeffs=((E0_MAX,), closing))
+    return ReferenceProfile(kind="fast", angle=angle, gap=gap)
 
 
 def _controls_on(profile: ReferenceProfile, duration: float, s: np.ndarray):
@@ -267,6 +213,33 @@ def counterdiabatic_controls(
     u, j = _controls_on(profile, duration, s)
     schedule = ControlSchedule(times=s * duration, u=u, j=j)
     return schedule, phases(profile, duration, schedule)
+
+
+def simpson_uniform(y, dx):
+    """Integrate uniformly sampled values along the last axis.  Needs an odd
+    sample count; each row of a 2-d ``y`` gets the bits a 1-d call gives."""
+    y = np.asarray(y)
+    n = y.shape[-1]
+    if n < 3 or n % 2 == 0:
+        raise ValueError("composite Simpson needs an odd number of samples >= 3")
+    acc = (
+        y[..., 0] + y[..., -1]
+        + 4.0 * np.sum(y[..., 1:-1:2], axis=-1) + 2.0 * np.sum(y[..., 2:-2:2], axis=-1)
+    )
+    return acc * (dx / 3.0)
+
+
+def simpson_pieces(edges, points_per_unit=_POINTS_PER_UNIT):
+    """(nodes, spacing) of each nonempty piece [edges[k], edges[k+1]]: an even
+    number of intervals, at least 4 and about ``points_per_unit`` per unit."""
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        width = hi - lo
+        if width <= 0.0:
+            continue
+        n = max(int(np.ceil(width * points_per_unit)), 4)
+        if n % 2:
+            n += 1
+        yield np.linspace(lo, hi, n + 1), width / n
 
 
 def _node_table(profile: ReferenceProfile, points_per_unit: int) -> list:

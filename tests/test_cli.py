@@ -300,8 +300,16 @@ def test_sweep_curves_and_determinism(tmp_path):
     )
 
 
-@pytest.mark.parametrize("grid", ["1:inf:1", "1:2:nan", "nan:2:1"])
-def test_sweep_rejects_non_finite_grid(capsys, grid):
+@pytest.mark.parametrize("grid", [
+    "1:inf:1", "1:2:nan", "nan:2:1",
+    # point counts of 1e12, infinity and 1e300: refused before the grid is built
+    "1:2:1e-12", "1:1e308:1e-308", "1:2:1e-300",
+])
+def test_sweep_rejects_non_finite_grid(capsys, monkeypatch, grid):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the grid must be refused before any sweep")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
     code, out, err = main_in_process(capsys, "sweep", "--T", grid)
     assert code == 2 and out == ""
     assert err.startswith("configuration error: duration grid")
@@ -328,11 +336,11 @@ def test_optimiser_commands_reject_invalid_bounds(capsys, argv, bounds):
 #: part of simulate's config line, so the runs share one directory.
 CSV_SHA256 = [
     (("shortcut", "--profile", "fast", "--steps", "200", "--out", "shortcut.csv"),
-     "e2c337560b048c517a72a621cc15ddffd2ead622ae216106973ad40611fcec5e",
-     "f6fa3d9110daca8fbb2fbcaeffe5d0054ebd097ee713745aaaffc3757463adb6"),
+     "9137463b4f8dcb2cd8fb6a25c03cd4d32dfff15e10099cfd5ffd3f5569373ae5",
+     "afc87c7dace26f95e7d3181843df5c85077518831ad5bd5adf25d740e7e84a15"),
     (("simulate", "--schedule", "shortcut.csv", "--steps", "200", "--out", "simulate.csv"),
-     "cfdee558baf2410ca63fb37499ad80867a785fa741dd2b15d213d9cba3d52d4f",
-     "4c023e31cd523fb0e926c00588d5cf0658a324dc18958223bef18d4746bd907c"),
+     "742935ccd7777817a0eb8c8683fb85cd9ed1723a622e8525ba68afd0d9c8d4e4",
+     "7e9a6db87f12d285d4b3dea66c7dcf2185fcb6f0af27ac9d607ada8f229772ae"),
     (("optimize", "--T", "3", "--segments", "10", "--seeds", "1", "--out", "optimize.csv"),
      "9f12f9b96b9e285437e5418e2e903d0f4b3519149f40afeed5f7b22daec467be",
      "8957da0ceda2dd3836ec6e678282dc8e1c654c06a28404361f809d097b0b7998"),
@@ -341,8 +349,8 @@ CSV_SHA256 = [
      "1604e34995462854eba0d11d465c1cb04589ca61651a5e24040c008b631f853e",
      "91becc418934ec541b76d6dc625b32a9bf3dfef1f3a6dea8eb03b4972cae1ddc"),
     (("duration", "--profile", "fast", "--out", "duration.csv"),
-     "012dc7c6d8607acf3d9f33555ab14a7d9d7726593b6607cea7ddd8794d59e6f5",
-     "16bfadfad622aafdda4a78cd307dd591cdfabfd9a36a6b4af199b22f0f335375"),
+     "222f3b1bc74e3f1f4eaa639b969d7cd8eb62f37d04e3c1b68811e4f2838ad76b",
+     "493f1329b68d2f4f43dabe86aec2902a023ec6207ec1cec20a701a6ba2af4762"),
     (("shortcut", "--profile", "original", "--steps", "200", "--out", "shortcut_original.csv"),
      "223d0818ec0f2798d563945a53ca711af31ac13316eb5feb2316bf729c5255ba",
      "e0b6b3ad0469f0cab35f31ac08601200c568ca535afb7572d2f8e5e39f45a2f3"),
@@ -353,12 +361,16 @@ def test_csv_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     """Each run's CSV and its stdout (T, theta and zeta of a shortcut
     included) are pinned byte for byte."""
     monkeypatch.chdir(tmp_path)
+    mismatches = []
     for argv, csv_digest, stdout_digest in CSV_SHA256:
         code, out, err = main_in_process(capsys, *argv)
         assert code == 0, err
-        written = (tmp_path / argv[-1]).read_bytes()
-        assert hashlib.sha256(written).hexdigest() == csv_digest, argv[0]
-        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest, argv[0]
+        for what, data, digest in (("CSV", (tmp_path / argv[-1]).read_bytes(), csv_digest),
+                                   ("stdout", out.encode(), stdout_digest)):
+            found = hashlib.sha256(data).hexdigest()
+            if found != digest:
+                mismatches.append((" ".join(argv), what, found))
+    assert not mismatches, "\n".join(f"{cmd}: {what} {found}" for cmd, what, found in mismatches)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,19 @@ from bjjctrl import (
     profile_fast,
     profile_original,
     propagate,
-    solve_coeffs_E,
-    solve_coeffs_phi,
     solve_duration,
     symmetric_preparation,
 )
 from bjjctrl import shortcuts
-from bjjctrl._quadrature import simpson_pieces, simpson_uniform
 from bjjctrl.dynamics import SQRT2
-from bjjctrl.shortcuts import _LHS_CHUNK, PiecewisePoly, ReferenceProfile, _controls_on
+from bjjctrl.shortcuts import (
+    _LHS_CHUNK,
+    PiecewisePoly,
+    ReferenceProfile,
+    _controls_on,
+    simpson_pieces,
+    simpson_uniform,
+)
 
 HALF_PI = math.pi / 2.0
 
@@ -92,6 +96,14 @@ def polyval_d(coeffs, s, order):
     return float(npoly.polyval(s, c))
 
 
+def piece_value(poly, piece, s, order=0):
+    """Order-th derivative at s of one piece of a PiecewisePoly, from that
+    piece's local-variable coefficients alone (so a knot can be approached
+    from either side)."""
+    lo, hi = poly.edges[piece], poly.edges[piece + 1]
+    return polyval_d(poly.coeffs[piece], (s - lo) / (hi - lo), order) / (hi - lo) ** order
+
+
 def flat_profile(angle_value=math.pi / 4.0, gap_value=1.0):
     """Boundary-free reference with constant angle and gap."""
     return ReferenceProfile(
@@ -102,68 +114,95 @@ def flat_profile(angle_value=math.pi / 4.0, gap_value=1.0):
 
 
 # ---------------------------------------------------------------------------
-# coefficient solves
+# fast profile: boundary conditions and the boundary-value systems
+
+def interior(lo, hi, count=101):
+    return np.linspace(lo, hi, count + 2)[1:-1]
+
 
 @pytest.mark.parametrize("s0", [0.5, 0.9, 0.95])
 def test_gap_coefficients_satisfy_boundaries(s0):
-    e = solve_coeffs_E(s0)
+    gap = profile_fast(s0).gap
     residuals = [
-        abs(polyval_d(e, 1.0, 0)),
-        abs(polyval_d(e, 1.0, 1)),
-        abs(polyval_d(e, s0, 0) - 1.0),
-        abs(polyval_d(e, s0, 1)),
-        abs(polyval_d(e, s0, 2)),
+        abs(float(gap(1.0))),
+        abs(float(gap(1.0, 1))),
+        abs(float(gap(s0)) - 1.0),
+        abs(float(gap(s0, 1))),
+        abs(float(gap(s0, 2))),
     ]
-    # normwise: knots near 1 blow the monomial coefficients up to ~1e5,
-    # so float64 representation alone floors the absolute residual
-    assert max(residuals) <= 1e-12 * max(1.0, np.abs(e).max())
-    if np.abs(e).max() < 1e3:
-        assert max(residuals) <= 1e-12
+    assert max(residuals) <= 1e-12
 
 
-@pytest.mark.parametrize("s0", [0.5, 0.9])
+@pytest.mark.parametrize("s0", [0.5, 0.9, 0.95])
 def test_gap_coefficients_match_elimination_oracle(s0):
-    m, b = gap_system(s0)
-    got = solve_coeffs_E(s0)
-    want = gauss_solve(m, b)
-    assert np.allclose(got, want, rtol=1e-8, atol=1e-10)
-
-
-def test_gap_solver_rejects_bad_knot():
-    for s0 in (0.0, 1.0, -0.2):
-        with pytest.raises(ValueError):
-            solve_coeffs_E(s0)
+    # the oracle is the monomial solution in s of the five boundary
+    # conditions; its coefficients grow like (1 - s0)^-4, which sets the
+    # tolerance
+    s = interior(s0, 1.0)
+    want = npoly.polyval(s, gauss_solve(*gap_system(s0)))
+    assert np.max(np.abs(profile_fast(s0).gap(s) - want)) <= 1e-9
 
 
 @pytest.mark.parametrize("s1,s2", [(0.2, 0.8), (0.15, 0.7), (0.3, 0.9)])
 def test_angle_coefficients_satisfy_boundaries(s1, s2):
-    a, b = solve_coeffs_phi(s1, s2)
-    assert a[0] == HALF_PI and a[1] == 0.0 and a[2] == 0.0
-    scale_a = 1e-12 * max(1.0, np.abs(a).max())
-    scale_b = 1e-12 * max(1.0, np.abs(b).max())
-    # entry branch: land on the plateau with three flat derivatives
-    assert abs(polyval_d(a, s1, 0) - math.pi / 4) <= scale_a
+    angle = profile_fast(0.9, s1, s2).angle
+    assert float(angle(0.0)) == HALF_PI
+    assert float(angle(0.0, 1)) == 0.0 and float(angle(0.0, 2)) == 0.0
+    # entry piece: land on the plateau with three flat derivatives
+    assert abs(piece_value(angle, 0, s1) - math.pi / 4) <= 1e-12
     for order in (1, 2, 3):
-        assert abs(polyval_d(a, s1, order)) <= 100.0 * scale_a
-    # exit branch: leave the plateau equally smoothly, close at 1
-    assert abs(polyval_d(b, s2, 0) - math.pi / 4) <= scale_b
+        assert abs(piece_value(angle, 0, s1, order)) <= 1e-12 / s1**order
+    # exit piece: leave the plateau equally smoothly, close at 1
+    assert abs(float(angle(s2)) - math.pi / 4) <= 1e-12
     for order in (1, 2, 3):
-        assert abs(polyval_d(b, s2, order)) <= 100.0 * scale_b
-    assert abs(polyval_d(b, 1.0, 0)) <= scale_b
-    assert abs(polyval_d(b, 1.0, 1)) <= scale_b
+        assert abs(float(angle(s2, order))) <= 1e-12 / (1.0 - s2) ** order
+    assert abs(float(angle(1.0))) <= 1e-12
+    assert abs(float(angle(1.0, 1))) <= 1e-12 / (1.0 - s2)
 
 
 def test_angle_coefficients_match_elimination_oracle():
-    a, b = solve_coeffs_phi(0.2, 0.8)
-    m, rhs_ = angle_entry_system(0.2)
-    assert np.allclose(a[3:], gauss_solve(m, rhs_), rtol=1e-8, atol=1e-9)
-    m, rhs_ = angle_exit_system(0.8)
-    assert np.allclose(b, gauss_solve(m, rhs_), rtol=1e-8, atol=1e-9)
+    for s1, s2 in ((0.2, 0.8), (0.15, 0.7), (0.3, 0.9)):
+        angle = profile_fast(0.9, s1, s2).angle
+        entry = np.concatenate(([HALF_PI, 0.0, 0.0], gauss_solve(*angle_entry_system(s1))))
+        s = interior(0.0, s1)
+        assert np.max(np.abs(angle(s) - npoly.polyval(s, entry))) <= 1e-9
+        s = interior(s2, 1.0)
+        want = npoly.polyval(s, gauss_solve(*angle_exit_system(s2)))
+        assert np.max(np.abs(angle(s) - want)) <= 1e-9
 
 
-def test_angle_solver_rejects_bad_knots():
-    with pytest.raises(ValueError):
-        solve_coeffs_phi(0.8, 0.2)
+@st.composite
+def fast_knots(draw):
+    s1 = draw(st.floats(1e-6, 0.99))
+    s2 = draw(st.floats(s1 + 1e-6, 1.0 - 1e-6))
+    return draw(st.floats(1e-6, 1.0 - 1e-6)), s1, s2
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(fast_knots())
+def test_fast_profile_meets_its_conditions_for_any_knots(knots):
+    s0, s1, s2 = knots
+    profile = profile_fast(s0, s1, s2)
+    gap, angle = profile.gap, profile.angle
+    grid = np.concatenate((np.linspace(0.0, 1.0, 20001), knots))
+    values = gap(grid)
+    assert values.min() >= 0.0 and values.max() <= 1.0
+    values = angle(grid)
+    assert values.min() >= 0.0 and values.max() <= HALF_PI
+    assert float(gap(s0)) == pytest.approx(1.0, rel=1e-12)
+    for order in (0, 1):
+        assert abs(float(gap(1.0, order))) <= 1e-12 / (1.0 - s0) ** order
+        assert abs(float(angle(1.0, order))) <= 1e-12 / (1.0 - s2) ** order
+    assert float(angle(0.0)) == pytest.approx(HALF_PI, rel=1e-12)
+    # across each knot the two adjoining pieces agree; derivatives relative
+    # to their scale on the shorter piece, (piece width)^-order
+    for poly, knot, left, orders in ((gap, s0, 0, 3), (angle, s1, 0, 4), (angle, s2, 1, 4)):
+        edges = poly.edges
+        width = min(edges[left + 1] - edges[left], edges[left + 2] - edges[left + 1])
+        for order in range(orders):
+            lo = piece_value(poly, left, knot, order)
+            hi = piece_value(poly, left + 1, knot, order)
+            assert abs(lo - hi) <= 1e-12 / width**order
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +230,10 @@ def test_original_profile_midpoint_values(original_profile):
 
 @pytest.mark.parametrize("kind", ["original", "fast"])
 def test_profile_derivatives_match_finite_differences(kind, original_profile, fast_profile):
-    # points away from the knots; the steep last gap piece of the fast
-    # profile would drown the difference quotient in cancellation noise
+    # points away from the knots, where a difference quotient would
+    # straddle two pieces
     p = original_profile if kind == "original" else fast_profile
-    pts = np.array([0.05, 0.1, 0.33, 0.55, 0.77, 0.85])
+    pts = np.array([0.05, 0.1, 0.33, 0.55, 0.77, 0.85, 0.95])
     h = 1e-6
     for order, tol in ((1, 1e-6), (2, 1e-4)):
         for s in pts:
@@ -212,23 +251,24 @@ def test_fast_profile_plateaus(fast_profile):
 
 
 def test_fast_profile_knot_continuity(fast_profile):
-    # evaluate the adjoining branch polynomials exactly at the knots
+    # evaluate the adjoining pieces from their local coefficients at the knots
     angle = fast_profile.angle
-    for knot, left, right in ((0.2, 0, 1), (0.8, 1, 2)):
+    for knot, left in ((0.2, 0), (0.8, 1)):
         for order in range(4):
-            lo = polyval_d(angle.coeffs[left], knot, order)
-            hi = polyval_d(angle.coeffs[right], knot, order)
+            lo = piece_value(angle, left, knot, order)
+            hi = piece_value(angle, left + 1, knot, order)
             assert abs(lo - hi) <= 1e-10
     gap = fast_profile.gap
     for order in range(3):
-        lo = polyval_d(gap.coeffs[0], 0.9, order)
-        hi = polyval_d(gap.coeffs[1], 0.9, order)
-        assert abs(lo - hi) <= 1e-10
+        assert abs(piece_value(gap, 0, 0.9, order) - piece_value(gap, 1, 0.9, order)) <= 1e-10
 
 
 def test_fast_profile_validates_knots():
-    with pytest.raises(ValueError):
-        profile_fast(s0=1.2)
+    for knots in ((1.2, 0.2, 0.8), (0.0, 0.2, 0.8), (1.0, 0.2, 0.8), (-0.2, 0.2, 0.8),
+                  (math.nan, 0.2, 0.8), (0.9, 0.8, 0.2), (0.9, 0.0, 0.8), (0.9, 0.2, 1.0),
+                  (0.9, 0.5, 0.5)):
+        with pytest.raises(ValueError):
+            profile_fast(*knots)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +399,7 @@ def test_solved_durations_reference_values(original_run, fast_run):
     assert fast_run.duration == pytest.approx(15.665, abs=0.05)
     # the roots of the scalar scan-and-bisect solver, bit for bit
     assert original_run.duration == pytest.approx(77.7230026535778, rel=0.0, abs=1e-12)
-    assert fast_run.duration == pytest.approx(15.664959606234735, rel=0.0, abs=1e-12)
+    assert fast_run.duration == pytest.approx(15.664959606237385, rel=0.0, abs=1e-12)
 
 
 def test_flat_profile_duration_equals_estimate():

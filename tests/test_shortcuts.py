@@ -263,6 +263,17 @@ def test_fast_profile_knot_continuity(fast_profile):
         assert abs(piece_value(gap, 0, 0.9, order) - piece_value(gap, 1, 0.9, order)) <= 1e-10
 
 
+def test_gap_solver_rejects_bad_knot():
+    for s0 in (0.0, 1.0, -0.2):
+        with pytest.raises(ValueError):
+            profile_fast(s0)
+
+
+def test_angle_solver_rejects_bad_knots():
+    with pytest.raises(ValueError):
+        profile_fast(0.9, 0.8, 0.2)
+
+
 def test_fast_profile_validates_knots():
     for knots in ((1.2, 0.2, 0.8), (0.0, 0.2, 0.8), (1.0, 0.2, 0.8), (-0.2, 0.2, 0.8),
                   (math.nan, 0.2, 0.8), (0.9, 0.8, 0.2), (0.9, 0.0, 0.8), (0.9, 0.2, 1.0),

@@ -5,12 +5,10 @@ solver, bounded-control time-optimal synthesis, and an effective loss
 model."""
 
 from .dynamics import (
-    AMPLITUDE_LABELS,
     ControlSchedule,
     ControlVector,
     InitialPreparation,
     JunctionParams,
-    Trajectory,
     TruncatedState,
     initial_state,
     propagate,
@@ -18,8 +16,6 @@ from .dynamics import (
 )
 from .entanglement import (
     MAX_NORMALIZED_CONCURRENCE,
-    ConcurrenceValue,
-    EntanglementResult,
     concurrence,
     dominant_trace,
     entanglement_exact,
@@ -47,6 +43,6 @@ from .optimal_control import (
     shortcut_seed,
     sweep,
 )
-from .dissipation import DissipativeTrace, dissipative_trace
+from .dissipation import dissipative_trace
 
 __version__ = "0.1.0"

@@ -270,8 +270,8 @@ _CHUNK = 1024
 
 
 def _mul(x, y):
-    """Products of the matrices x and y of shape (k, k, ...), elementwise
-    over the trailing axes."""
+    """Products of the matrices x of shape (k, k, ...) and y of shape
+    (k, m, ...), elementwise over the trailing axes."""
     return (x[:, :, None] * y).sum(axis=1)
 
 
@@ -294,7 +294,9 @@ def _rk4_steps(node, mid, h):
 
 def _prefix(mats):
     """Inclusive prefix products M_i ... M_1 M_0 of (k, k, n) matrices, in
-    place, in log2(n) rounds of elementwise products (Hillis & Steele)."""
+    place, in log2(n) rounds of elementwise products (Hillis & Steele).
+    RK4 chains its (S, c11) steps with it, and the exact propagator its
+    segment rotations up to each segment's start."""
     d = 1
     while d < mats.shape[-1]:
         mats[..., d:] = _mul(mats[..., d:], mats[..., :-d])
@@ -311,46 +313,28 @@ def _frame_generators(u, j, omega_eff):
     return scalars, np.array([[anti, 2j * j], [2j * j, np.full_like(anti, -2j * omega_eff)]])
 
 
-def _chain(mats, v):
-    """States v, M0 v, M1 M0 v, ... under the step matrices in order,
-    stacked on a new leading axis.
-
-    Stacked vectors ride along: with ``mats`` of shape (steps, starts, n, n)
-    and ``v`` of shape (starts, n, 1), each step is one stacked product
-    that advances every start, and each state has the shape of ``v``.
-    """
-    states = np.empty((len(mats) + 1,) + v.shape, dtype=np.result_type(mats, v))
-    states[0] = v
-    for m, state, following in zip(mats, states, states[1:]):
-        np.matmul(m, state, out=following)
-    return states
-
-
 def _rotation(u, j, dt):
     """The (S, c11) part of the two-quanta propagator over a time dt of
     constant controls u, j (all three broadcast), phase aside.
 
     In the basis S = (c20 + c02)/sqrt(2), A = (c20 - c02)/sqrt(2) the
     two-quanta block maps (S, c11) by exp(-i (u + 2 w) dt) R and A by
-    exp(-2i (u + w) dt); R rotates by y = dt sqrt(u^2 + 4 j^2).  Returns
-    R (shape y.shape + (2, 2)), y and s = sin(y) / sqrt(u^2 + 4 j^2).
+    exp(-2i (u + w) dt); R rotates by y = dt sqrt(u^2 + 4 j^2) and lies in
+    SU(2).  Returns R in the layout of ``_mul``, shape (2, 2) + y.shape,
+    y and s = sin(y) / sqrt(u^2 + 4 j^2).
     """
     y = dt * np.sqrt(u * u + 4.0 * j * j)
     s = dt * np.sinc(y / np.pi)  # sinc keeps s regular at y = 0
-    rot = np.zeros(y.shape + (2, 2), dtype=complex)
-    rot.real[..., 0, 0] = rot.real[..., 1, 1] = np.cos(y)
-    rot.imag[..., 0, 0] = -s * u
-    rot.imag[..., 1, 1] = s * u
-    rot.imag[..., 0, 1] = rot.imag[..., 1, 0] = 2.0 * s * j
-    return rot, y, s
+    cos, isu, off = np.cos(y), 1j * (s * u), 2j * (s * j)
+    return np.array([[cos - isu, off], [off, cos + isu]]), y, s
 
 
 def _one_quantum(theta, turn, v):
     """(c10, c01) evolved from the pair ``v`` under integrated coupling
-    ``theta`` with the frequency phase turn = exp(-i w t).  The one-quantum
-    Hamiltonians commute, so no other trace of the controls enters."""
-    cos, isin = np.cos(theta), 1j * np.sin(theta)
-    return turn * (cos * v[0] + isin * v[1]), turn * (isin * v[0] + cos * v[1])
+    ``theta`` with the frequency phase turn = exp(-i w t), both ending in a
+    unit axis that the pair fills.  The one-quantum Hamiltonians commute,
+    so no other trace of the controls enters."""
+    return turn * (np.cos(theta) * v + 1j * np.sin(theta) * v[::-1])
 
 
 def _rk4(schedule, tgrid, omega_eff, out):
@@ -379,8 +363,8 @@ def _exact(cv, tgrid, omega_eff, out):
     piecewise-constant controls ``cv``: (c10, c01) from the integrated
     coupling Theta(t); in the (S, c11, A) basis of ``_rotation`` the phases
     exp(-i (Phi + 2 w t)) on (S, c11) and exp(-2i (Phi + w t)) on A, with
-    Phi(t) the integrated nonlinearity, and the chained rotations of the
-    whole segments, each sample advanced by its offset into its segment."""
+    Phi(t) the integrated nonlinearity, and the rotations' prefix products
+    to each segment, each sample advanced by its offset into its segment."""
     dt = cv.duration / cv.segments
     k = cv._segment(tgrid)
     offset = tgrid - k * dt
@@ -388,18 +372,19 @@ def _exact(cv, tgrid, omega_eff, out):
     phi = dt * np.cumsum(np.append(0.0, cv.u))[k] + offset * u
     theta = dt * np.cumsum(np.append(0.0, cv.j))[k] + offset * j
     x0 = _Q_SYM @ out[0, _TWO]  # (S, c11, A)
-    edges = _chain(_rotation(cv.u, cv.j, dt)[0], x0[:2, None])
+    before = (_prefix(_rotation(cv.u[:-1], cv.j[:-1], dt)[0]) * x0[:2, None]).sum(axis=1)
+    edges = np.column_stack((x0[:2], before))  # (S, c11) at each segment's start
 
     def fill(lo, hi):
         rows = slice(lo + 1, hi + 1)
         t = tgrid[rows]
         rot = _rotation(u[rows], j[rows], offset[rows])[0]
-        pair = (rot @ edges[k[rows]])[..., 0]
-        pair *= np.exp(-1j * (phi[rows] + 2.0 * omega_eff * t))[:, None]
+        pair = (rot * edges[:, k[rows]]).sum(axis=1)
+        pair *= np.exp(-1j * (phi[rows] + 2.0 * omega_eff * t))
         anti = x0[2] * np.exp(-2j * (phi[rows] + omega_eff * t))
-        out[rows, _TWO] = np.column_stack((pair, anti)) @ _Q_SYM
-        one = _one_quantum(theta[rows], np.exp(-1j * omega_eff * t), out[0, _ONE])
-        out[rows, _ONE] = np.column_stack(one)
+        out[rows, _TWO] = np.column_stack((*pair, anti)) @ _Q_SYM
+        turn = np.exp(-1j * omega_eff * t)[:, None]
+        out[rows, _ONE] = _one_quantum(theta[rows, None], turn, out[0, _ONE])
     return fill
 
 

@@ -8,21 +8,22 @@ in a frame where it needs little work:
 - In the basis S = (c20 + c02)/sqrt(2), A = (c20 - c02)/sqrt(2) the
   two-quanta block splits into a 2x2 part on (S, c11) and a pure phase on
   A, which never reaches c11.  Each segment's 2x2 part is a phase times a
-  rotation R; the phases multiply out to one per start, so a single 2x2
-  rotation chain carries (S, c11).
+  rotation R in SU(2); the phases multiply out to one per start, and a
+  balanced tree of elementwise 2x2 products over every segment and start
+  multiplies the rotations in log2(segments) rounds (Blelloch, "Prefix
+  sums and their applications", 1990).
 - The one-quantum block is diagonal in (c10 +- c01)/sqrt(2), so its final
   amplitudes have a closed form in the integrated coupling dt sum(j).
 
 Maximisation uses spectral projected gradient ascent (Barzilai-Borwein
 steps under a nonmonotone Armijo test; Birgin, Martinez & Raydan, SIAM J.
-Optim. 10, 1196 (2000)) with adjoint gradients (one costate recursion back
-through the rotations of the accepted trial's forward pass, then
-elementwise contractions with their derivatives); multistart plus a
-shortcut-informed seed guards against local optima, and all starts ascend
-together as one batch.  A bisection on the feasibility predicate locates
-the minimum duration that reaches the concurrence ceiling 1 + sqrt(2);
-each feasibility probe stops its ascent as soon as one start reaches the
-target.
+Optim. 10, 1196 (2000)) with adjoint gradients (the accepted trial's
+product tree swept back down for each segment's state, unitarity for its
+costate); multistart plus a shortcut-informed seed guards against local
+optima, and all starts ascend together as one batch.  A bisection on the
+feasibility predicate locates the minimum duration that reaches the
+concurrence ceiling 1 + sqrt(2); each feasibility probe stops its ascent
+as soon as one start reaches the target.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .dynamics import (
     InitialPreparation,
     JunctionParams,
     SQRT2,
-    _chain,
+    _mul,
     _one_quantum,
     _rotation,
     effective_frequency,
@@ -88,35 +89,41 @@ def _prep_blocks(prep: InitialPreparation | None, params: JunctionParams | None)
 
 
 def _forward(uj, duration, y0, x0, omega_eff):
-    """Segment rotations, the (S, c11) states they chain, the rotation
-    angles, and the final amplitudes c10, c01 and c11 of each row of
-    controls.
+    """The product tree of each row's segment rotations, the rotation
+    angles, and the final amplitudes c10, c01 and c11 of each row of controls.
 
     ``uj`` holds one row of controls per start, shape (starts, 2, segments),
-    u in ``uj[:, 0]`` and j in ``uj[:, 1]``.  Segment k maps (S, c11) by
-    a phase times the rotation R_k of ``dynamics._rotation``; the phases
-    multiply out to one per start, so only the rotations are chained.  They
-    come back segment-major, (segments, starts, 2, 2), so that one stacked
-    product per segment advances every start; the states are stacked
-    (segments + 1, starts, 2, 1) columns, the initial ones first, and the
-    angles y and ``_rotation``'s s are (segments, starts) too.  The
-    one-quantum amplitudes follow from Theta = dt sum(j).
+    u in ``uj[:, 0]`` and j in ``uj[:, 1]``.  Segment k maps (S, c11) by a
+    phase times the rotation R_k of ``dynamics._rotation``, and the phases
+    multiply out to one per start.  Level 0 of the tree holds the rotations,
+    padded to a power-of-two width with the identities of zero controls, in
+    ``_mul``'s layout (2, 2, starts, width); level l + 1 holds the products
+    R' R of adjacent pairs R, R' of level l, so the top is each row's whole
+    product.  The pass is (levels..., y, s, phase, c10, c01, c11), with rows
+    on axis -2 throughout: ``_rotation``'s y and s as (starts, width), the
+    rest (starts, 1).  The one-quantum amplitudes follow from dt sum(j).
     """
     starts, _, n = uj.shape
     dt = duration / n
-    rot, y, s = _rotation(uj[:, 0].T, uj[:, 1].T, dt)
-    xs = _chain(rot, np.repeat(x0[None, :, None], starts, axis=0))
-    sums = uj.sum(axis=2)
-    phase = np.exp(-1j * (dt * sums[:, 0] + 2.0 * omega_eff * duration))
-    c10, c01 = _one_quantum(dt * sums[:, 1], np.exp(-1j * omega_eff * duration), y0)
-    return rot, xs, y, s, phase, c10, c01, phase * xs[-1, :, 1, 0]
+    padded = np.zeros((2, starts, 1 << (n - 1).bit_length()))  # u, j contiguous
+    padded[..., :n] = uj.transpose(1, 0, 2)
+    rot, y, s = _rotation(padded[0], padded[1], dt)
+    levels = [rot]
+    while levels[-1].shape[-1] > 1:
+        levels.append(_mul(levels[-1][..., 1::2], levels[-1][..., ::2]))
+    top = levels[-1]
+    sums = dt * uj.sum(axis=2, keepdims=True)
+    phase = np.exp(-1j * (sums[:, 0] + 2.0 * omega_eff * duration))
+    one = _one_quantum(sums[:, 1], np.exp(-1j * omega_eff * duration), y0)
+    c10, c01 = one[:, :1], one[:, 1:]
+    return (*levels, y, s, phase, c10, c01, phase * (top[1, 0] * x0[0] + top[1, 1] * x0[1]))
 
 
 def _value(fwd, alpha_sq):
     """C(T)/alpha^2 = 2 |c11 - c10 c01| / alpha^2 of a forward pass."""
     *_, c10, c01, c11 = fwd
     w = c11 - c10 * c01
-    return 2.0 * np.hypot(w.real, w.imag) / alpha_sq
+    return 2.0 * np.hypot(w.real, w.imag)[:, 0] / alpha_sq
 
 
 def _objective_value(uu, jj, duration, y0, x0, alpha_sq, omega_eff):
@@ -144,74 +151,88 @@ def _h_div(y):
     1e-14 of the value there.
     """
     y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    small = np.abs(y) < 0.1
-    y2 = y[small] ** 2
-    out[small] = -1.0 / 3.0 + y2 * (1.0 / 30.0 + y2 * (-1.0 / 840.0 + y2 / 45360.0))
-    yl = y[~small]
-    out[~small] = (yl * np.cos(yl) - np.sin(yl)) / yl**3
+    y2 = y * y
+    out = -1.0 / 3.0 + y2 * (1.0 / 30.0 + y2 * (-1.0 / 840.0 + y2 / 45360.0))
+    big = np.abs(y) >= 0.1
+    if big.any():
+        yl = y[big]
+        out[big] = (yl * np.cos(yl) - np.sin(yl)) / yl**3
     return out
 
 
 def _objective_and_gradient(uu, jj, duration, y0, x0, alpha_sq, omega_eff):
     """Objective and its (u, j) gradient for each row of controls."""
     uj = np.stack((uu, jj), axis=1)
-    value, grad = _gradient(uj, duration, alpha_sq, _forward(uj, duration, y0, x0, omega_eff))
+    value, grad = _gradient(uj, duration, x0, alpha_sq, _forward(uj, duration, y0, x0, omega_eff))
     return value, grad[:, 0], grad[:, 1]
 
 
-def _gradient(uj, duration, alpha_sq, fwd):
-    """Objective and gradient, shaped like ``uj``, of each row of controls,
-    given the ``_forward`` pass ``fwd`` of those same controls.
+def _gradient(uj, duration, x0, alpha_sq, fwd):
+    """Objective and gradient, shaped like ``uj``, of each row of controls
+    from the initial (S, c11) pair ``x0``, given the ``_forward`` pass
+    ``fwd`` of those same controls.
 
-    Adjoint method: one costate recursion runs back through the forward
-    pass's rotations; the contractions with their derivatives then cover
-    every segment and start at once, elementwise.  A start with w = 0 has
-    no ascent direction and gets a zero gradient, and so does one whose
-    |w| is subnormal, where the complex division by |w| would overflow.
+    Adjoint method: segment k's derivatives need the state x_k = E_k x0
+    entering it, E_k = R_{k-1} ... R_0, and the costate
+    lam_k = e_1^T R_{n-1} ... R_{k+1}.  A down-sweep of the product tree
+    applies every E_k to two columns at once, in place: a left child starts
+    where its parent does, a right child after its sibling's product.  Each
+    R_k is in SU(2), so R_{n-1} ... R_{k+1} = T E_{k+1}^dagger with T the
+    top product, and lam_k^T = conj(E_{k+1} conj(T^T e_1)): the costates are
+    the sweep's second column, one segment on.  The contractions with the
+    rotations' derivatives are elementwise.  A start with w = 0 has
+    no ascent direction and gets a zero gradient, and so does one whose |w|
+    is subnormal, where the complex division by |w| would overflow.
     """
     starts, _, n = uj.shape
     dt = duration / n
-    rot, xs, y, s, phase, c10, c01, c11 = fwd
+    *levels, y, s, phase, c10, c01, c11 = fwd
     w = c11 - c10 * c01
     modulus = np.hypot(w.real, w.imag)
-    value = 2.0 * modulus / alpha_sq
+    value = 2.0 * modulus[:, 0] / alpha_sq
     grad = np.zeros((starts, 2, n))
-    live = np.flatnonzero(modulus >= np.finfo(float).tiny)
+    live = np.flatnonzero(modulus[:, 0] >= np.finfo(float).tiny)
     if live.size == 0:
         return value, grad
     rows = slice(None)
     if live.size < starts:
-        rows = live
-        uj, rot, xs, y, s = uj[live], rot[:, live], xs[:, live], y[:, live], s[:, live]
-        phase, w, c10, c01, c11 = phase[live], w[live], c10[live], c01[live], c11[live]
-    # d value = Re(pref dw), and dw/du_k, dw/dj_k hold phase lam_k R_k' x_k
-    # with lam_k = e_1^T R_{n-1} ... R_{k+1}; the phase's own u-derivative
-    # adds -i dt c11, and Theta's j-derivative -i dt (c10^2 + c01^2)
-    pref = (2.0 / alpha_sq) * w.conj() / modulus[live]
-    top = np.zeros((live.size, 2, 1), dtype=complex)
-    top[:, 1, 0] = pref * phase
-    # R is symmetric, so the costate rows chain as columns
-    lam = _chain(rot[:0:-1], top)[::-1, :, :, 0]
-    x = xs[:-1, :, :, 0]
+        rows, uj = live, uj[live]
+        *levels, y, s, phase, c10, c01, c11, w, modulus = (
+            a[..., live, :] for a in (*fwd, w, modulus))
+    # d value = Re(pref dw), and dw/du_k, dw/dj_k hold phase lam_k R_k' x_k;
+    # the phase's own u-derivative adds -i dt c11, and Theta's j-derivative
+    # -i dt (c10^2 + c01^2)
+    pref = (2.0 / alpha_sq) * w.conj() / modulus
+    scale = pref * phase
+    # column k < width of the sweep holds E_k (x0, v), v = conj(scale
+    # T^T e_1), and column width T v = conj(scale) e_1, by unitarity
+    width = y.shape[-1]
+    cols = np.zeros((2, 2, len(phase), width + 1), dtype=complex)
+    cols[:, 0, :, 0] = x0[:, None]
+    cols[:, 1, :, :1] = (scale * levels[-1][1]).conj()
+    cols[1, 1, :, width] = scale.conj()[:, 0]
+    for level in levels[-2::-1]:
+        step = 2 * width // level.shape[-1]  # between the nodes one level up
+        cols[..., step // 2:width:step] = _mul(level[..., ::2], cols[..., :width:step])
+    x, lam = cols[:, 0, :, :n], cols[:, 1, :, 1:n + 1].conj()
     # R' = [[a - ib, ic], [ic, a + ib]] with real a, b, c, so that with
     # p0 = lam0 x0, p1 = lam1 x1 and p01 = lam0 x1 + lam1 x0,
     # Re(lam R' x) = a Re(p0 + p1) - b Im(p1 - p0) - c Im(p01)
-    p0 = lam[..., 0] * x[..., 0]
-    p1 = lam[..., 1] * x[..., 1]
+    p0 = lam[0] * x[0]
+    p1 = lam[1] * x[1]
     diag = (p0 + p1).real
     skew = (p1 - p0).imag
-    cross = (lam[..., 0] * x[..., 1] + lam[..., 1] * x[..., 0]).imag
+    cross = (lam[0] * x[1] + lam[1] * x[0]).imag
 
     # (a, b, c) of dR/du are (-dt u s, h u^2 + s, 2 h u j) and of dR/dj
     # (-4 dt j s, 4 h u j, 2 (4 h j^2 + s)), with h = dt^3 _h_div(y)
-    u, j = uj[:, 0].T, uj[:, 1].T
-    h = dt**3 * _h_div(y)
+    u, j, s = uj[:, 0], uj[:, 1], s[:, :n]
+    h = dt**3 * _h_div(y[:, :n])
     ujh = u * j * h
     gu_seg = -dt * u * s * diag - (h * u * u + s) * skew - 2.0 * ujh * cross
     gj_seg = -4.0 * dt * j * s * diag - 4.0 * ujh * skew - 2.0 * (4.0 * h * j * j + s) * cross
-    grad[rows, 0] = gu_seg.T + (dt * (pref * c11).imag)[:, None]
-    grad[rows, 1] = gj_seg.T + (dt * (pref * (c10 * c10 + c01 * c01)).imag)[:, None]
+    grad[rows, 0] = gu_seg + dt * (pref * c11).imag
+    grad[rows, 1] = gj_seg + dt * (pref * (c10 * c10 + c01 * c01)).imag
     return value, grad
 
 
@@ -237,11 +258,9 @@ def project(u, j, bounds):
 
 def _store(fwd, rows, part, ok):
     """Write rows ``ok`` of the ``_forward`` pass ``part`` into rows
-    ``rows`` of the pass ``fwd``; its first four arrays are segment-major."""
-    for slot, values in zip(fwd[:4], part[:4]):
-        slot[:, rows] = values[:, ok]
-    for slot, values in zip(fwd[4:], part[4:]):
-        slot[rows] = values[ok]
+    ``rows`` of the pass ``fwd``."""
+    for slot, values in zip(fwd, part):
+        slot[..., rows, :] = values[..., ok, :]
 
 
 class _Ascent(tuple):
@@ -283,7 +302,7 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, tar
     """
     box = np.array([[bounds[0]], [bounds[1]]], dtype=float)
     uj = np.clip(np.stack((np.asarray(u0, float), np.asarray(j0, float)), axis=1), 0.0, box)
-    start, grad = _gradient(uj, duration, alpha_sq, _forward(uj, duration, y0, x0, omega_eff))
+    start, grad = _gradient(uj, duration, x0, alpha_sq, _forward(uj, duration, y0, x0, omega_eff))
     rows = start.size
     best, best_uj = start.copy(), uj.copy()
     iterations = np.full(rows, max_iter)
@@ -313,7 +332,7 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, tar
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
-        d = np.clip(ctrl + grad, 0.0, box) - ctrl
+        d = np.minimum(np.maximum(ctrl + grad, 0.0), box) - ctrl
         sq = (d * d).sum(axis=2)
         done = np.sqrt(sq[:, 0] + sq[:, 1]) <= _PG_TOL
         if done.any():
@@ -329,7 +348,7 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, tar
         search = np.arange(active.size)
         sc, sg, sref, sstep = ctrl, grad, ref, step
         for _ in range(60):
-            trial_uj = np.clip(sc + sstep[:, None, None] * sg, 0.0, box)
+            trial_uj = np.minimum(np.maximum(sc + sstep[:, None, None] * sg, 0.0), box)
             trial = _forward(trial_uj, duration, y0, x0, omega_eff)
             cand = _value(trial, alpha_sq)
             gain = (sg * (trial_uj - sc)).sum(axis=2)
@@ -348,7 +367,7 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, tar
         if search.size == active.size:
             retire(np.ones(active.size, bool), it, "no_ascent_step")
             break
-        value, new_grad = _gradient(new, duration, alpha_sq, fwd)
+        value, new_grad = _gradient(new, duration, x0, alpha_sq, fwd)
         if search.size:
             # rows that found no step; their rows of the pass hold a
             # rejected trial
@@ -364,7 +383,7 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, tar
         bb = np.full(active.size, _MAX_STEP)
         curved = sy < 0.0
         bb[curved] = (ss[:, 0] + ss[:, 1])[curved] / -sy[curved]
-        step = np.clip(bb, _MIN_STEP, _MAX_STEP)
+        step = np.minimum(np.maximum(bb, _MIN_STEP), _MAX_STEP)
         ctrl, grad = new, new_grad
         up = value > best[active]
         best_uj[active[up]], best[active[up]] = new[up], value[up]

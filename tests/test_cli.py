@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,11 +14,19 @@ from bjjctrl import cli
 from bjjctrl.dynamics import ControlSchedule
 
 CLI = [sys.executable, "-m", "bjjctrl.cli"]
+#: The CLI runs the bjjctrl these tests import, also when pytest put it on
+#: the path itself.
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+    ),
+}
 
 
 def run_cli(*args):
     proc = subprocess.run(
-        CLI + list(args), capture_output=True, text=True, timeout=900
+        CLI + list(args), capture_output=True, text=True, timeout=900, env=ENV
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -342,12 +352,12 @@ CSV_SHA256 = [
      "742935ccd7777817a0eb8c8683fb85cd9ed1723a622e8525ba68afd0d9c8d4e4",
      "7e9a6db87f12d285d4b3dea66c7dcf2185fcb6f0af27ac9d607ada8f229772ae"),
     (("optimize", "--T", "3", "--segments", "10", "--seeds", "1", "--out", "optimize.csv"),
-     "9f12f9b96b9e285437e5418e2e903d0f4b3519149f40afeed5f7b22daec467be",
+     "da94ae84db9631c524c4c65868b800d7479f0cfd44fe0ddff2a9caa5340c5c9c",
      "8957da0ceda2dd3836ec6e678282dc8e1c654c06a28404361f809d097b0b7998"),
     (("sweep", "--T", "1:2:0.5", "--segments", "4", "--seeds", "1", "--max-iter", "5",
       "--out", "sweep.csv"),
-     "1604e34995462854eba0d11d465c1cb04589ca61651a5e24040c008b631f853e",
-     "91becc418934ec541b76d6dc625b32a9bf3dfef1f3a6dea8eb03b4972cae1ddc"),
+     "12c55ad0c9d6bd73ae385d95d84f08a2a40db3bf4ef22373402e61ea8cb9a587",
+     "02f0f30fee60fe3d6050c137b77820a69b31aa745b3d8dd3d4be7460229420de"),
     (("duration", "--profile", "fast", "--out", "duration.csv"),
      "222f3b1bc74e3f1f4eaa639b969d7cd8eb62f37d04e3c1b68811e4f2838ad76b",
      "493f1329b68d2f4f43dabe86aec2902a023ec6207ec1cec20a701a6ba2af4762"),

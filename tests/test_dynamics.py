@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -244,11 +245,22 @@ def test_rk4_matches_stepwise_oracle_on_random_runs(run):
 
 
 def test_propagate_aborts_on_blowup():
+    """The error names the first non-finite row, here 37 rows into the
+    second chunk: J jumps to 1e200 just past that row's step midpoint."""
     state = initial_state(symmetric_preparation(0.1))
-    schedule = ControlSchedule.constant(0.0, 1e6, 1.0)  # step way past stability
+    steps = _CHUNK + 100
+    first = _CHUNK + 37
+    h = 1.0 / steps
+    jump = (first - 1 + 0.3) * h
+    times = np.array([0.0, jump, jump + 0.1 * h, 1.0])
+    schedule = ControlSchedule(times, np.full(4, 0.3), np.array([0.1, 0.1, 1e200, 1e200]))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match="non-finite"):
-            propagate(state, schedule, JunctionParams(), steps=50)
+        rows = rk4_oracle(state, schedule, 0.0, 0.0, steps)
+        bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
+        assert bad[0] == first
+        shown = f"t = {np.linspace(0.0, 1.0, steps + 1)[first]:.6g} (step {first}/{steps})"
+        with pytest.raises(FloatingPointError, match=re.escape(shown)):
+            propagate(state, schedule, JunctionParams(), steps=steps)
 
 
 def test_block_decoupling():

@@ -154,6 +154,18 @@ def test_exact_gradient_matches_central_differences_property(problem):
     assert np.linalg.norm(ge - gf) <= 1e-4 * max(np.linalg.norm(gf), 1e-12)
 
 
+@pytest.mark.parametrize("n", [50, 64, 100, 128, 129])
+def test_exact_gradient_matches_central_differences_at_tree_widths(n):
+    """The benchmark's segment counts and the edges of the product tree's
+    power-of-two padding."""
+    rng = np.random.default_rng(n)
+    cv = random_vector(rng, n=n, duration=7.0)
+    params = JunctionParams(0.2, 0.05)
+    ge = np.concatenate(objective_gradient(cv, params=params))
+    gf = central_difference_gradient(cv, params)
+    assert np.linalg.norm(ge - gf) <= 1e-4 * max(np.linalg.norm(gf), 1e-12)
+
+
 def test_h_div_matches_mpmath():
     """(y cos y - sin y)/y^3 to 1e-13 relative, across [0, 10] and on
     both sides of the series cutoff at y = 0.1."""
@@ -228,7 +240,7 @@ def test_gradient_from_handed_over_forward_pass_is_bit_equal(rng):
         trial = np.where(ok[:, None, None], accepted[search], rejected[search])
         part = optimal_control._forward(trial, duration, y0, z0, omega_eff)
         optimal_control._store(fwd, np.array(search)[ok], part, ok)
-    value, grad = optimal_control._gradient(accepted, duration, alpha_sq, fwd)
+    value, grad = optimal_control._gradient(accepted, duration, z0, alpha_sq, fwd)
     want = optimal_control._objective_and_gradient(
         accepted[:, 0], accepted[:, 1], duration, y0, z0, alpha_sq, omega_eff
     )
@@ -247,10 +259,10 @@ def test_ascent_hands_each_row_its_own_trial(monkeypatch):
     gradient, store = optimal_control._gradient, optimal_control._store
     stores = []
 
-    def checked(uj, duration, alpha_sq, fwd):
-        for got, want in zip(fwd, optimal_control._forward(uj, duration, y0, z0, omega_eff)):
+    def checked(uj, duration, x0, alpha_sq, fwd):
+        for got, want in zip(fwd, optimal_control._forward(uj, duration, y0, x0, omega_eff)):
             assert np.array_equal(got, want)
-        return gradient(uj, duration, alpha_sq, fwd)
+        return gradient(uj, duration, x0, alpha_sq, fwd)
 
     monkeypatch.setattr(optimal_control, "_gradient", checked)
     monkeypatch.setattr(optimal_control, "_store", lambda *a: stores.append(1) or store(*a))
@@ -325,6 +337,32 @@ def test_target_stops_once_decided_property(batch, level):
     else:
         for a, b in zip(early, full):
             assert np.array_equal(a, b)
+
+
+def test_flat_stop_comes_at_the_first_flat_window(monkeypatch):
+    """A start stops "flat" at the first iteration i >= _FLAT_WINDOW whose
+    objective lies within _FLAT_TOL max(1, |v_i|) of the objective
+    _FLAT_WINDOW iterations earlier."""
+    blocks = optimal_control._prep_blocks(symmetric_preparation(0.1), JunctionParams())
+    gradient = optimal_control._gradient
+    values = []  # the start's objective, then one per iteration
+
+    def recorded(*args):
+        value, grad = gradient(*args)
+        values.extend(value)
+        return value, grad
+
+    monkeypatch.setattr(optimal_control, "_gradient", recorded)
+    draw = np.random.default_rng(1)
+    uu, jj = draw.uniform(0.0, BOUNDS[0], (1, 6)), draw.uniform(0.0, BOUNDS[1], (1, 6))
+    *_, iterations, stop = optimal_control._ascend(uu, jj, 10.0, BOUNDS, *blocks, 500)
+    window, tol = optimal_control._FLAT_WINDOW, optimal_control._FLAT_TOL
+    flat = [
+        i for i in range(window, len(values))
+        if abs(values[i] - values[i - window]) <= tol * max(1.0, abs(values[i]))
+    ]
+    assert stop == ["flat"]
+    assert iterations[0] == flat[0] == len(values) - 1
 
 
 def test_start_at_target_stops_after_zero_iterations(rng):
@@ -420,6 +458,37 @@ def test_batched_ascent_matches_single_starts():
             assert stop[row] == alone[4][0]
         reasons.update(stop)
     assert reasons == {"projected_gradient", "flat", "no_ascent_step"}
+
+
+def test_maximize_without_iterations_returns_the_best_projected_start():
+    """Random starts uniform in the box, the shortcut start and an extra
+    start outside the box, each projected; ties go to the earlier start."""
+    outside = ControlVector(np.linspace(-0.5, 1.5, 12), np.linspace(0.4, -0.1, 12), 4.0)
+    res = maximize(4.0, BOUNDS, segments=12, seeds=3, base_seed=9, max_iter=0,
+                   extra_starts=(outside,))
+    starts = []
+    for i in range(3):
+        draw = np.random.default_rng(9 + i)
+        starts.append((draw.uniform(0.0, BOUNDS[0], 12), draw.uniform(0.0, BOUNDS[1], 12)))
+    seed = shortcut_seed(4.0, 12, BOUNDS)
+    starts += [(seed.u, seed.j), project(outside.u, outside.j, BOUNDS)]
+    values = [objective(ControlVector(u, j, 4.0)) for u, j in starts]
+    best = int(np.argmax(values))
+    assert res.iterations == 0 and not res.converged
+    assert res.objective == values[best]
+    assert res.seed == [0, 1, 2, -1, -2][best]
+    assert np.array_equal(np.stack((res.best.u, res.best.j)), np.stack(starts[best]))
+
+
+def test_maximize_on_one_segment():
+    res = maximize(3.0, BOUNDS, segments=1, seeds=2, max_iter=50)
+    assert res.best.segments == 1
+    assert res.objective == objective(res.best)
+
+
+def test_maximize_rejects_zero_segments():
+    with pytest.raises(ValueError, match="segment"):
+        maximize(3.0, BOUNDS, segments=0, seeds=1)
 
 
 def test_maximize_rejects_negative_seeds():

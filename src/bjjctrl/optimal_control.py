@@ -20,10 +20,12 @@ steps under a nonmonotone Armijo test; Birgin, Martinez & Raydan, SIAM J.
 Optim. 10, 1196 (2000)) with adjoint gradients (the accepted trial's
 product tree swept back down for each segment's state, unitarity for its
 costate); multistart plus a shortcut-informed seed guards against local
-optima, and all starts ascend together as one batch.  A bisection on the
-feasibility predicate locates the minimum duration that reaches the
-concurrence ceiling 1 + sqrt(2); each feasibility probe stops its ascent
-as soon as one start reaches the target.
+optima, and all starts ascend together as one batch.  ``maximize`` is the
+one entry point: its result carries the winning start's stop reason
+(``OptimizationResult.stop``), and its ``target`` stops the ascent as soon
+as one start reaches it.  A bisection on that feasibility predicate
+locates the minimum duration that reaches the concurrence ceiling
+1 + sqrt(2).
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ class OptimizationResult:
     iterations: int
     converged: bool
     seed: int  # index of the winning start; -1 for the shortcut seed
+    stop: str  # the winning start's stop reason, as ``_ascend`` gives it
 
 
 @dataclass(frozen=True)
@@ -126,11 +129,6 @@ def _value(fwd, alpha_sq):
     return 2.0 * np.hypot(w.real, w.imag)[:, 0] / alpha_sq
 
 
-def _objective_value(uu, jj, duration, y0, x0, alpha_sq, omega_eff):
-    """C(T)/alpha^2 at T of each row of controls, shape (starts, segments)."""
-    return _value(_forward(np.stack((uu, jj), axis=1), duration, y0, x0, omega_eff), alpha_sq)
-
-
 def objective(
     controls: ControlVector,
     prep: InitialPreparation | None = None,
@@ -138,9 +136,8 @@ def objective(
 ) -> float:
     """Final normalised dominant concurrence C(T)/alpha^2 of the controls."""
     y0, x0, alpha_sq, omega_eff = _prep_blocks(prep, params)
-    return _objective_value(
-        controls.u[None], controls.j[None], controls.duration, y0, x0, alpha_sq, omega_eff
-    )[0]
+    uj = np.stack((controls.u, controls.j))[None]
+    return _value(_forward(uj, controls.duration, y0, x0, omega_eff), alpha_sq)[0]
 
 
 def _h_div(y):
@@ -158,13 +155,6 @@ def _h_div(y):
         yl = y[big]
         out[big] = (yl * np.cos(yl) - np.sin(yl)) / yl**3
     return out
-
-
-def _objective_and_gradient(uu, jj, duration, y0, x0, alpha_sq, omega_eff):
-    """Objective and its (u, j) gradient for each row of controls."""
-    uj = np.stack((uu, jj), axis=1)
-    value, grad = _gradient(uj, duration, x0, alpha_sq, _forward(uj, duration, y0, x0, omega_eff))
-    return value, grad[:, 0], grad[:, 1]
 
 
 def _gradient(uj, duration, x0, alpha_sq, fwd):
@@ -244,10 +234,10 @@ def objective_gradient(
     """Gradient of the objective w.r.t. (u, j), by the adjoint method
     through the segment rotations."""
     y0, x0, alpha_sq, omega_eff = _prep_blocks(prep, params)
-    _, gu, gj = _objective_and_gradient(
-        controls.u[None], controls.j[None], controls.duration, y0, x0, alpha_sq, omega_eff
-    )
-    return gu[0], gj[0]
+    uj = np.stack((controls.u, controls.j))[None]
+    fwd = _forward(uj, controls.duration, y0, x0, omega_eff)
+    grad = _gradient(uj, controls.duration, x0, alpha_sq, fwd)[1]
+    return grad[0, 0], grad[0, 1]
 
 
 def project(u, j, bounds):
@@ -263,21 +253,10 @@ def _store(fwd, rows, part, ok):
         slot[..., rows, :] = values[..., ok, :]
 
 
-class _Ascent(tuple):
-    """What ``_ascend`` returns, unpacked as (u, j, objective, iterations,
-    stop reasons) per start; ``start`` holds the projected starts'
-    objectives."""
-
-    def __new__(cls, fields, start):
-        self = super().__new__(cls, fields)
-        self.start = start
-        return self
-
-
-def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, target=math.inf):
+def _ascend(uj0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, target=math.inf):
     """Spectral projected gradient ascent, all starts at once.
 
-    Row i of ``u0`` and ``j0`` (shape (starts, segments)) is one start.
+    Row i of ``uj0`` (shape (starts, 2, segments), u then j) is one start.
     Each start's trial step is its own Barzilai-Borwein step
     s.s / (-s.y), from its last move s and the change y of its gradient,
     clipped to [_MIN_STEP, _MAX_STEP]; it is _MAX_STEP where s.y >= 0 and
@@ -294,14 +273,15 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, tar
     settled, since each start returns its best iterate.  A run that never
     reaches ``target`` takes the same iterates as one without it.
 
-    Returns per start its best controls and their objective (a
-    nonmonotone search can end below them), the iteration count and the
-    stop reason: "projected_gradient", "no_ascent_step" (the line search
-    found no step at its resolution), "flat", "target" or "max_iter" (not
-    converged); ``.start`` holds the projected starts' objectives.
+    Returns (uj, objective, iterations, stop, start): per start its best
+    controls, shaped like ``uj0``, and their objective (a nonmonotone
+    search can end below them), the iteration count, the stop reason
+    ("projected_gradient", "no_ascent_step" (the line search found no step
+    at its resolution), "flat", "target" or "max_iter", not converged) and
+    the projected start's objective.
     """
     box = np.array([[bounds[0]], [bounds[1]]], dtype=float)
-    uj = np.clip(np.stack((np.asarray(u0, float), np.asarray(j0, float)), axis=1), 0.0, box)
+    uj = np.clip(np.asarray(uj0, float), 0.0, box)
     start, grad = _gradient(uj, duration, x0, alpha_sq, _forward(uj, duration, y0, x0, omega_eff))
     rows = start.size
     best, best_uj = start.copy(), uj.copy()
@@ -397,9 +377,7 @@ def _ascend(u0, j0, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, tar
             flat = np.abs(value - old) <= _FLAT_TOL * np.maximum(1.0, np.abs(value))
             if flat.any():
                 retire(flat, it, "flat")
-    return _Ascent(
-        (best_uj[:, 0].copy(), best_uj[:, 1].copy(), best, iterations, stop), start
-    )
+    return best_uj, best, iterations, stop, start
 
 
 def shortcut_seed(duration: float, segments: int, bounds: tuple[float, float]) -> ControlVector:
@@ -421,6 +399,7 @@ def maximize(
     base_seed: int = 1234,
     max_iter: int = 2000,
     extra_starts: tuple[ControlVector, ...] = (),
+    target: float = math.inf,
 ) -> OptimizationResult:
     """Maximise C(T)/alpha^2 over bounded piecewise-constant controls.
 
@@ -428,20 +407,11 @@ def maximize(
     ``base_seed``) plus one fast-shortcut-informed start plus any
     ``extra_starts`` (each with ``segments`` segments), all ascending
     together with projected gradients, and returns the best; ties go to
-    the earlier start.  Identical inputs give identical results.
+    the earlier start.  The ascent stops as soon as some start reaches
+    ``target`` (stop reason "target"); with the default, never.  The
+    result's ``stop`` is the winning start's stop reason.  Identical
+    inputs give identical results.
     """
-    return _maximize(
-        duration, bounds, segments, seeds, params,
-        prep=prep, base_seed=base_seed, max_iter=max_iter, extra_starts=extra_starts,
-    )[0]
-
-
-def _maximize(
-    duration, bounds, segments, seeds, params=None, *,
-    prep=None, base_seed, max_iter, extra_starts, target=math.inf,
-):
-    """``maximize``, with the ascent stopped once some start reaches
-    ``target``; also returns the winning start's stop reason."""
     if not (math.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
     if segments < 1:
@@ -458,47 +428,38 @@ def _maximize(
 
     if duration == 0.0:
         # the objective vanishes, and with it every gradient
-        zero = np.zeros((1, segments))
-        value = _objective_value(zero, zero, duration, y0, x0, alpha_sq, omega_eff)
+        zero = np.zeros((1, 2, segments))
+        value = _value(_forward(zero, duration, y0, x0, omega_eff), alpha_sq)
         return OptimizationResult(
-            best=ControlVector(zero[0], zero[0], duration),
+            best=ControlVector(zero[0, 0], zero[0, 1], duration),
             objective=float(value[0]),
             iterations=0,
             converged=True,
             seed=-1,
-        ), "projected_gradient"
+            stop="projected_gradient",
+        )
 
-    labels = list(range(seeds))
-    u0 = []
-    j0 = []
-    u_max, j_max = bounds
-    for i in labels:
-        rng = np.random.default_rng(base_seed + i)
-        u0.append(rng.uniform(0.0, u_max, segments))
-        j0.append(rng.uniform(0.0, j_max, segments))
-    seed_cv = shortcut_seed(duration, segments, bounds)
-    extra = [seed_cv, *extra_starts]
-    labels += [-1 - offset for offset in range(len(extra))]
-    u0 += [cv.u for cv in extra]
-    j0 += [cv.j for cv in extra]
+    # rows: the random starts (u, then j, per seed), the shortcut start,
+    # then the extra starts
+    high = np.reshape(bounds, (2, 1))
+    starts = np.empty((seeds + 1 + len(extra_starts), 2, segments))
+    for i in range(seeds):
+        starts[i] = np.random.default_rng(base_seed + i).uniform(0.0, high, (2, segments))
+    for row, cv in enumerate((shortcut_seed(duration, segments, bounds), *extra_starts), seeds):
+        starts[row] = cv.u, cv.j
 
-    ascent = _ascend(
-        np.array(u0), np.array(j0), duration, bounds, y0, x0, alpha_sq, omega_eff,
-        max_iter, target,
+    uj, value, iterations, stop, start = _ascend(
+        starts, duration, bounds, y0, x0, alpha_sq, omega_eff, max_iter, target
     )
-    u, j, value, iterations, stop = ascent
-    improved = bool(np.any(value > ascent.start + 1e-15))
-    best = 0
-    for row in range(1, len(labels)):
-        if value[row] > value[best]:
-            best = row
+    best = int(np.argmax(value))
     return OptimizationResult(
-        best=ControlVector(u=u[best], j=j[best], duration=duration),
+        best=ControlVector(u=uj[best, 0], j=uj[best, 1], duration=duration),
         objective=float(value[best]),
         iterations=int(iterations[best]),
-        converged=stop[best] != "max_iter" and improved,
-        seed=labels[best],
-    ), stop[best]
+        converged=stop[best] != "max_iter" and bool(np.any(value > start + 1e-15)),
+        seed=best if best < seeds else seeds - 1 - best,
+        stop=stop[best],
+    )
 
 
 def _resample_piecewise(cv: ControlVector, duration: float, segments: int):
@@ -525,14 +486,14 @@ def minimum_time(
     """Smallest duration whose optimum reaches (1 - epsilon) of the ceiling.
 
     Coarse scan ``coarse = (start, stop, step)`` for a feasibility bracket,
-    then bisection down to ``resolution``.  Each probe asks whether some
-    start reaches the target, so its ascent stops as soon as one does
-    (stop reason "target"); a probe that never does runs to convergence
-    as ``maximize`` would.  Every probe warm-starts from the previous
-    probe's best controls, and logs one DEBUG record: duration, best
-    objective, verdict, and the winning start's iterations and stop
-    reason.  The answer inherits the optimiser's discretisation, so treat
-    it as a window of width ~resolution around the ideal value.
+    then bisection down to ``resolution``.  Each probe is one ``maximize``
+    call with the feasibility level as its ``target``, so it stops as soon
+    as some start reaches it (stop reason "target").  Every probe
+    warm-starts from the previous probe's best controls, and logs one
+    DEBUG record: duration, best objective, verdict, and the winner's
+    iterations and ``stop``.  The answer inherits the optimiser's
+    discretisation, so treat it as a window of width ~resolution around
+    the ideal value.
     """
     if not 0.0 < epsilon <= 0.05:
         raise ValueError("epsilon must lie in (0, 0.05]")
@@ -545,23 +506,21 @@ def minimum_time(
             f"and a step > 0 that advances the scan, got {tuple(coarse)!r}"
         )
     target = MAX_NORMALIZED_CONCURRENCE * (1.0 - epsilon)
-    warm: list[ControlVector] = []
+    warm: tuple[ControlVector, ...] = ()
 
     def feasible(duration):
-        res, reason = _maximize(
+        nonlocal warm
+        res = maximize(
             duration, bounds, segments, seeds,
             prep=prep, base_seed=base_seed, max_iter=max_iter,
-            extra_starts=tuple(
-                _resample_piecewise(cv, duration, segments) for cv in warm
-            ),
+            extra_starts=tuple(_resample_piecewise(cv, duration, segments) for cv in warm),
             target=target,
         )
-        del warm[:]
-        warm.append(res.best)
+        warm = (res.best,)
         verdict = res.objective >= target
         _log.debug(
             "minimum_time probe T=%r objective=%r feasible=%s iterations=%d stop=%s",
-            duration, res.objective, verdict, res.iterations, reason,
+            duration, res.objective, verdict, res.iterations, res.stop,
         )
         return verdict
 
@@ -606,8 +565,9 @@ def sweep(
     previous duration, so it is non-decreasing up to resampling noise).
     Lossy curves are the lossless one scaled by exp(-kappa T): for fixed
     controls the loss model multiplies the objective by exactly that
-    factor, so the lossless optimisers remain optimal.  The scaling is
-    cross-checked by direct lossy propagation at three grid points.
+    factor, so the lossless optimisers remain optimal.  At three grid
+    points the scaling is cross-checked against ``objective`` of the same
+    controls under ``JunctionParams(kappa)``.
     """
     durations = np.asarray(durations, dtype=float)
     kappa_list = list(kappa_list)
@@ -615,22 +575,17 @@ def sweep(
         raise ValueError("duration grid and kappa list must be non-empty")
     if any(kappa < 0.0 for kappa in kappa_list):
         raise ValueError("loss rates must be >= 0")
-    prep = prep if prep is not None else symmetric_preparation(0.1)
 
     base = np.empty(durations.size)
     bests: list[ControlVector] = []
-    prev: ControlVector | None = None
     for i, t in enumerate(durations):
-        extra = ()
-        if prev is not None:
-            extra = (_resample_piecewise(prev, t, segments),)
         res = maximize(
             t, bounds, segments, seeds,
-            prep=prep, base_seed=base_seed, max_iter=max_iter, extra_starts=extra,
+            prep=prep, base_seed=base_seed, max_iter=max_iter,
+            extra_starts=tuple(_resample_piecewise(cv, t, segments) for cv in bests[-1:]),
         )
         base[i] = res.objective
         bests.append(res.best)
-        prev = res.best
 
     check_idx = sorted({0, durations.size // 2, durations.size - 1})
     curves = []

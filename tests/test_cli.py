@@ -4,14 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bjjctrl import cli
-from bjjctrl.dynamics import ControlSchedule
+from bjjctrl.dynamics import ControlSchedule, ControlVector
+from bjjctrl.optimal_control import OptimizationResult
 
 CLI = [sys.executable, "-m", "bjjctrl.cli"]
 #: The CLI runs the bjjctrl these tests import, also when pytest put it on
@@ -188,6 +192,35 @@ def test_simulate_replays_optimized_controls_exactly(tmp_path, monkeypatch, caps
     doc = json.loads(out)
     assert doc["T"] == 7.0
     assert abs(doc["final_concurrence_norm"] - objective) <= 1e-9
+
+
+@st.composite
+def written_controls(draw):
+    """Finite controls on 1-200 segments and a duration in [0, 1e3]."""
+    n = draw(st.integers(1, 200))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    u, j = (np.array(draw(st.lists(finite, min_size=n, max_size=n))) for _ in "uj")
+    return ControlVector(u, j, draw(st.floats(0.0, 1e3)))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(written_controls())
+def test_optimize_out_replays_bit_equal_property(controls):
+    """Whatever controls ``maximize`` returns, ``optimize --out`` writes a
+    schedule that loads back as the same u, j and T."""
+    def found(duration, *args, **kwargs):
+        assert duration == controls.duration
+        return OptimizationResult(controls, 1.0, 3, True, 0, "flat")
+
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(cli, "maximize", found)
+        path = os.path.join(tmp, "controls.csv")
+        assert cli.main(["optimize", f"--T={controls.duration!r}", "--out", path]) == 0
+        loaded = cli._load_schedule(path)
+    assert type(loaded) is ControlVector
+    assert loaded.u.tobytes() == controls.u.tobytes()
+    assert loaded.j.tobytes() == controls.j.tobytes()
+    assert repr(loaded.duration) == repr(controls.duration)
 
 
 #: Segments as ``optimize`` writes them: T from the config line, segment k

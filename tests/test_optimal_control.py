@@ -39,6 +39,26 @@ def random_vector(rng, n=30, duration=None):
     )
 
 
+def batch_values(uj, duration, blocks):
+    """The objective of each row of controls, shape (starts, 2, segments)."""
+    y0, x0, alpha_sq, omega_eff = blocks
+    return optimal_control._value(
+        optimal_control._forward(uj, duration, y0, x0, omega_eff), alpha_sq
+    )
+
+
+def batch_gradients(uj, duration, blocks):
+    """The objective and gradient of each row of controls."""
+    y0, x0, alpha_sq, omega_eff = blocks
+    fwd = optimal_control._forward(uj, duration, y0, x0, omega_eff)
+    return optimal_control._gradient(uj, duration, x0, alpha_sq, fwd)
+
+
+def projected(uj):
+    """Each row of controls clipped into the box."""
+    return np.stack(project(uj[:, 0], uj[:, 1], BOUNDS), axis=1)
+
+
 def chained_oracle(cv, prep, params):
     """Objective recomputed by propagating one segment at a time."""
     state = initial_state(prep)
@@ -185,46 +205,36 @@ def test_h_div_matches_mpmath():
 def test_gradient_batch_rows_are_independent(rng):
     """A zero row (w = 0) beside random rows: zero gradient without a
     floating-point warning, and every row as if computed alone."""
-    y0, z0, alpha_sq, omega_eff = optimal_control._prep_blocks(
-        symmetric_preparation(0.1), JunctionParams()
-    )
+    blocks = optimal_control._prep_blocks(symmetric_preparation(0.1), JunctionParams())
     uu = np.vstack([np.zeros(12), rng.uniform(0.0, BOUNDS[0], (3, 12))])
     jj = np.vstack([np.zeros(12), rng.uniform(0.0, BOUNDS[1], (3, 12))])
-    args = (4.0, y0, z0, alpha_sq, omega_eff)
+    uj = np.stack((uu, jj), axis=1)
     with np.errstate(all="raise"):
-        value, gu, gj = optimal_control._objective_and_gradient(uu, jj, *args)
+        value, grad = batch_gradients(uj, 4.0, blocks)
         assert value[0] == 0.0
-        assert not gu[0].any() and not gj[0].any()
+        assert not grad[0].any()
         for row in range(1, 4):
-            alone = optimal_control._objective_and_gradient(
-                uu[row:row + 1], jj[row:row + 1], *args
-            )
+            alone = batch_gradients(uj[row:row + 1], 4.0, blocks)
             assert value[row] == alone[0][0]
-            assert np.array_equal(gu[row], alone[1][0])
-            assert np.array_equal(gj[row], alone[2][0])
+            assert np.array_equal(grad[row], alone[1][0])
 
 
 def test_gradient_at_subnormal_w_is_zero_without_overflow():
     # j = 3e-292 on one segment of length 1 leaves |w| near 3e-310, whose
     # reciprocal overflows inside numpy's complex division
-    y0, z0, alpha_sq, omega_eff = optimal_control._prep_blocks(
-        symmetric_preparation(0.1), JunctionParams()
-    )
+    blocks = optimal_control._prep_blocks(symmetric_preparation(0.1), JunctionParams())
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        value, gu, gj = optimal_control._objective_and_gradient(
-            np.zeros((1, 1)), np.full((1, 1), 3e-292), 1.0, y0, z0, alpha_sq, omega_eff
-        )
+        value, grad = batch_gradients(np.array([[[0.0], [3e-292]]]), 1.0, blocks)
     assert 0.0 < value[0] < 1e-300
-    assert not gu.any() and not gj.any()
+    assert not grad.any()
 
 
 def test_gradient_from_handed_over_forward_pass_is_bit_equal(rng):
     """The line search writes each row's accepted trial into that row of
     the pass its first round made for every row, over rejected trials, and
     hands the pass to the gradient."""
-    y0, z0, alpha_sq, omega_eff = optimal_control._prep_blocks(
-        symmetric_preparation(0.1), JunctionParams(0.2)
-    )
+    blocks = optimal_control._prep_blocks(symmetric_preparation(0.1), JunctionParams(0.2))
+    y0, z0, alpha_sq, omega_eff = blocks
     accepted = np.stack(
         (rng.uniform(0.0, BOUNDS[0], (5, 9)), rng.uniform(0.0, BOUNDS[1], (5, 9))), axis=1
     )
@@ -241,12 +251,9 @@ def test_gradient_from_handed_over_forward_pass_is_bit_equal(rng):
         part = optimal_control._forward(trial, duration, y0, z0, omega_eff)
         optimal_control._store(fwd, np.array(search)[ok], part, ok)
     value, grad = optimal_control._gradient(accepted, duration, z0, alpha_sq, fwd)
-    want = optimal_control._objective_and_gradient(
-        accepted[:, 0], accepted[:, 1], duration, y0, z0, alpha_sq, omega_eff
-    )
+    want = batch_gradients(accepted, duration, blocks)
     assert np.array_equal(value, want[0])
-    assert np.array_equal(grad[:, 0], want[1])
-    assert np.array_equal(grad[:, 1], want[2])
+    assert np.array_equal(grad, want[1])
 
 
 def test_ascent_hands_each_row_its_own_trial(monkeypatch):
@@ -267,9 +274,10 @@ def test_ascent_hands_each_row_its_own_trial(monkeypatch):
     monkeypatch.setattr(optimal_control, "_gradient", checked)
     monkeypatch.setattr(optimal_control, "_store", lambda *a: stores.append(1) or store(*a))
     draw = np.random.default_rng(5)
-    uu = draw.uniform(0.0, BOUNDS[0], (4, 20))
-    jj = draw.uniform(0.0, BOUNDS[1], (4, 20))
-    optimal_control._ascend(uu, jj, 6.5, BOUNDS, y0, z0, alpha_sq, omega_eff, 150)
+    uj = np.stack(
+        (draw.uniform(0.0, BOUNDS[0], (4, 20)), draw.uniform(0.0, BOUNDS[1], (4, 20))), axis=1
+    )
+    optimal_control._ascend(uj, 6.5, BOUNDS, y0, z0, alpha_sq, omega_eff, 150)
     assert stores
 
 
@@ -284,8 +292,8 @@ def ascent_batches(draw):
     shape = (starts, n)
     max_iter = draw(st.integers(0, 60))
     return (
-        np.reshape(u, shape), np.reshape(j, shape), draw(st.floats(0.5, 12.0)),
-        max_iter, draw(st.integers(0, max_iter)),
+        np.stack((np.reshape(u, shape), np.reshape(j, shape)), axis=1),
+        draw(st.floats(0.5, 12.0)), max_iter, draw(st.integers(0, max_iter)),
     )
 
 
@@ -296,21 +304,18 @@ def test_ascent_returns_best_iterate_property(batch):
     returns the best one, with its own objective.  It never falls below
     the projected start, nor below what a smaller budget returns, since
     that budget's iterates are a prefix of the larger one's."""
-    uu, jj, duration, max_iter, fewer = batch
-    y0, z0, alpha_sq, omega_eff = optimal_control._prep_blocks(
-        symmetric_preparation(0.1), JunctionParams()
+    uj0, duration, max_iter, fewer = batch
+    blocks = optimal_control._prep_blocks(symmetric_preparation(0.1), JunctionParams())
+    uj, value, iterations, stop, start = optimal_control._ascend(
+        uj0, duration, BOUNDS, *blocks, max_iter
     )
-    blocks = (y0, z0, alpha_sq, omega_eff)
-    u, j, value, iterations, stop = optimal_control._ascend(
-        uu, jj, duration, BOUNDS, *blocks, max_iter
-    )
-    start = optimal_control._objective_value(*project(uu, jj, BOUNDS), duration, *blocks)
-    assert np.array_equal(value, optimal_control._objective_value(u, j, duration, *blocks))
+    assert np.array_equal(start, batch_values(projected(uj0), duration, blocks))
+    assert np.array_equal(value, batch_values(uj, duration, blocks))
     assert np.all(value >= start)
-    assert np.array_equal(project(u, j, BOUNDS), (u, j))
+    assert np.array_equal(projected(uj), uj)
     assert np.all(iterations <= max_iter) and len(stop) == len(value)
-    shorter = optimal_control._ascend(uu, jj, duration, BOUNDS, *blocks, fewer)
-    assert np.all(value >= shorter[2])
+    shorter = optimal_control._ascend(uj0, duration, BOUNDS, *blocks, fewer)
+    assert np.all(value >= shorter[1])
 
 
 @PROPERTY
@@ -322,18 +327,18 @@ def test_target_stops_once_decided_property(batch, level):
     there exactly when the full run reaches it; a run that stops there
     holds a row at or above it, and one that never reaches it returns the
     full run's arrays exactly."""
-    uu, jj, duration, max_iter, _ = batch
+    uj0, duration, max_iter, _ = batch
     blocks = optimal_control._prep_blocks(symmetric_preparation(0.1), JunctionParams())
-    full = optimal_control._ascend(uu, jj, duration, BOUNDS, *blocks, max_iter)
-    lo, hi = full[2].min(), full[2].max()
+    full = optimal_control._ascend(uj0, duration, BOUNDS, *blocks, max_iter)
+    lo, hi = full[1].min(), full[1].max()
     target = np.nextafter(hi, np.inf) if level is None else lo + level * (hi - lo)
-    early = optimal_control._ascend(uu, jj, duration, BOUNDS, *blocks, max_iter, target)
-    assert (early[2].max() >= target) == (hi >= target)
-    assert ("target" in early[4]) == (hi >= target)
-    assert np.array_equal(early.start, full.start)
-    if "target" in early[4]:
-        assert early[2].max() >= target
-        assert np.all(early[3] <= full[3])
+    early = optimal_control._ascend(uj0, duration, BOUNDS, *blocks, max_iter, target)
+    assert (early[1].max() >= target) == (hi >= target)
+    assert ("target" in early[3]) == (hi >= target)
+    assert np.array_equal(early[4], full[4])
+    if "target" in early[3]:
+        assert early[1].max() >= target
+        assert np.all(early[2] <= full[2])
     else:
         for a, b in zip(early, full):
             assert np.array_equal(a, b)
@@ -354,8 +359,10 @@ def test_flat_stop_comes_at_the_first_flat_window(monkeypatch):
 
     monkeypatch.setattr(optimal_control, "_gradient", recorded)
     draw = np.random.default_rng(1)
-    uu, jj = draw.uniform(0.0, BOUNDS[0], (1, 6)), draw.uniform(0.0, BOUNDS[1], (1, 6))
-    *_, iterations, stop = optimal_control._ascend(uu, jj, 10.0, BOUNDS, *blocks, 500)
+    uj = np.stack(
+        (draw.uniform(0.0, BOUNDS[0], (1, 6)), draw.uniform(0.0, BOUNDS[1], (1, 6))), axis=1
+    )
+    _, _, iterations, stop, _ = optimal_control._ascend(uj, 10.0, BOUNDS, *blocks, 500)
     window, tol = optimal_control._FLAT_WINDOW, optimal_control._FLAT_TOL
     flat = [
         i for i in range(window, len(values))
@@ -367,15 +374,14 @@ def test_flat_stop_comes_at_the_first_flat_window(monkeypatch):
 
 def test_start_at_target_stops_after_zero_iterations(rng):
     blocks = optimal_control._prep_blocks(symmetric_preparation(0.1), JunctionParams())
-    uu = rng.uniform(-0.2, 1.2, (3, 8))
-    jj = rng.uniform(-0.1, 0.3, (3, 8))
-    start = optimal_control._objective_value(*project(uu, jj, BOUNDS), 6.0, *blocks)
-    u, j, value, iterations, stop = optimal_control._ascend(
-        uu, jj, 6.0, BOUNDS, *blocks, 100, start.max()
+    uj0 = np.stack((rng.uniform(-0.2, 1.2, (3, 8)), rng.uniform(-0.1, 0.3, (3, 8))), axis=1)
+    start = batch_values(projected(uj0), 6.0, blocks)
+    uj, value, iterations, stop, _ = optimal_control._ascend(
+        uj0, 6.0, BOUNDS, *blocks, 100, start.max()
     )
     assert stop == ["target"] * 3 and not iterations.any()
     assert np.array_equal(value, start)
-    assert np.array_equal(np.stack((u, j)), np.stack(project(uu, jj, BOUNDS)))
+    assert np.array_equal(uj, projected(uj0))
 
 
 def test_maximize_evaluates_the_starts_once(monkeypatch):
@@ -442,20 +448,20 @@ def test_batched_ascent_matches_single_starts():
         draw = np.random.default_rng(seed)
         uu.append(draw.uniform(0.0, BOUNDS[0], 6))
         jj.append(draw.uniform(0.0, BOUNDS[1], 6))
-    uu, jj = np.array(uu), np.array(jj)
+    uj0 = np.stack((uu, jj), axis=1)
     reasons = set()
     # at T = 1e12 the objective oscillates on a scale far below the line
     # search's smallest trial step, so no Armijo step exists
     for duration, max_iter in ((10.0, 500), (1e12, 5)):
         args = (duration, BOUNDS, y0, z0, alpha_sq, omega_eff, max_iter)
-        u, j, value, iters, stop = optimal_control._ascend(uu, jj, *args)
-        for row in range(len(uu)):
-            alone = optimal_control._ascend(uu[row:row + 1], jj[row:row + 1], *args)
-            assert np.array_equal(u[row], alone[0][0])
-            assert np.array_equal(j[row], alone[1][0])
-            assert value[row] == alone[2][0]
-            assert iters[row] == alone[3][0]
-            assert stop[row] == alone[4][0]
+        uj, value, iters, stop, start = optimal_control._ascend(uj0, *args)
+        for row in range(len(uj0)):
+            alone = optimal_control._ascend(uj0[row:row + 1], *args)
+            assert np.array_equal(uj[row], alone[0][0])
+            assert value[row] == alone[1][0]
+            assert iters[row] == alone[2][0]
+            assert stop[row] == alone[3][0]
+            assert start[row] == alone[4][0]
         reasons.update(stop)
     assert reasons == {"projected_gradient", "flat", "no_ascent_step"}
 
@@ -478,6 +484,16 @@ def test_maximize_without_iterations_returns_the_best_projected_start():
     assert res.objective == values[best]
     assert res.seed == [0, 1, 2, -1, -2][best]
     assert np.array_equal(np.stack((res.best.u, res.best.j)), np.stack(starts[best]))
+
+
+def test_zero_duration_gives_zero_controls_without_iterations():
+    """At T = 0 the objective and every gradient vanish, so no start ascends."""
+    res = maximize(0.0, BOUNDS, segments=7, seeds=2)
+    zeros = np.zeros(7)
+    assert (res.iterations, res.seed, res.converged, res.stop) == (0, -1, True, "projected_gradient")
+    assert np.array_equal(np.stack((res.best.u, res.best.j)), [zeros, zeros])
+    assert res.best.duration == 0.0
+    assert res.objective == objective(ControlVector(zeros, zeros, 0.0))
 
 
 def test_maximize_on_one_segment():
@@ -623,7 +639,6 @@ def _refuse_to_optimise(*args, **kwargs):
 )
 def test_minimum_time_rejects_a_scan_that_cannot_end(monkeypatch, kwargs, shown):
     monkeypatch.setattr(optimal_control, "maximize", _refuse_to_optimise)
-    monkeypatch.setattr(optimal_control, "_maximize", _refuse_to_optimise)
     with pytest.raises(ValueError, match=re.escape(shown)):
         minimum_time(BOUNDS, segments=10, seeds=1, **kwargs)
 
@@ -632,12 +647,12 @@ def test_bisection_ends_at_adjacent_durations(monkeypatch):
     """A resolution below the spacing of floats still ends the bisection."""
     def step_at_2_5(duration, bounds, segments, *args, **kwargs):
         zero = np.zeros(segments)
-        res = optimal_control.OptimizationResult(
-            ControlVector(zero, zero, duration), CEILING * (duration >= 2.5), 0, True, 0
+        return optimal_control.OptimizationResult(
+            ControlVector(zero, zero, duration), CEILING * (duration >= 2.5), 0, True, 0,
+            "projected_gradient",
         )
-        return res, "projected_gradient"
 
-    monkeypatch.setattr(optimal_control, "_maximize", step_at_2_5)
+    monkeypatch.setattr(optimal_control, "maximize", step_at_2_5)
     tstar = minimum_time(BOUNDS, segments=4, epsilon=0.05, resolution=1e-300,
                          coarse=(1.0, 4.0, 1.0))
     assert tstar == 2.5

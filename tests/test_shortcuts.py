@@ -321,6 +321,8 @@ def test_counterdiabatic_controls_validation(fast_profile):
         counterdiabatic_controls(fast_profile, 0.0)
     with pytest.raises(ValueError):
         counterdiabatic_controls(fast_profile, 10.0, samples=1)
+    schedule, _ = counterdiabatic_controls(fast_profile, 10.0, samples=2)
+    assert schedule.times.tolist() == [0.0, 10.0]
     # rejected before any arithmetic: the suite turns a warning into an error
     for duration in (math.inf, math.nan):
         with pytest.raises(ValueError, match="duration must be finite and positive"):

@@ -286,22 +286,22 @@ _TRACE_HEADER = [
 def _run_trace(command, options, schedule, payload):
     """Propagate the symmetric preparation along ``schedule`` for
     ``shortcut`` and ``simulate``: the trace, one row per sample with the
-    ``_TRACE_HEADER`` columns, goes to ``--out``, and ``payload`` plus the
-    final and peak C/alpha^2 to stdout."""
+    ``_TRACE_HEADER`` columns, goes to ``--out`` (and is built only then),
+    and ``payload`` plus the final and peak C/alpha^2 to stdout."""
     alpha, kappa = options["alpha"], options["kappa"]
     traj = propagate(
         initial_state(symmetric_preparation(alpha)), schedule,
         JunctionParams(options["omega"], kappa), options["steps"],
     )
-    t = traj.times
-    u, j = schedule.controls_at(t)
     amps = traj.amplitudes
-    norm_complex = (amps[:, 3] - amps[:, 1] * amps[:, 2]) / alpha**2
     conc = dominant_trace(amps) / alpha**2
-    one, two = traj.manifold_populations()
-    res_one = np.abs(one - one[0] * np.exp(-kappa * t))
-    res_two = np.abs(two - two[0] * np.exp(-2.0 * kappa * t))
     if options["out"]:
+        t = traj.times
+        u, j = schedule.controls_at(t)
+        norm_complex = (amps[:, 3] - amps[:, 1] * amps[:, 2]) / alpha**2
+        one, two = traj.manifold_populations()
+        res_one = np.abs(one - one[0] * np.exp(-kappa * t))
+        res_two = np.abs(two - two[0] * np.exp(-2.0 * kappa * t))
         table = np.column_stack(
             (t, u, j, norm_complex.real, norm_complex.imag, conc, res_one, res_two)
         )

@@ -15,7 +15,12 @@ import numpy as np
 
 from .dynamics import TruncatedState
 
-#: Ceiling of the normalised dominant concurrence.
+#: Ceiling of the normalised dominant concurrence 2 |c11 - c10 c01| / alpha^2,
+#: for any preparation, frequency omega, loss rate kappa >= 0 and controls:
+#: - the one-quantum norm alpha^2 and the two-quanta norm alpha^4/2 are
+#:   conserved, or decay when kappa > 0;
+#: - so |c10 c01| <= alpha^2/2 and |c11| <= alpha^2/sqrt(2);
+#: - so C/alpha^2 <= 2 (1/sqrt(2) + 1/2) = 1 + sqrt(2).
 MAX_NORMALIZED_CONCURRENCE = 1.0 + math.sqrt(2.0)
 
 

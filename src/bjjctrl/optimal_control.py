@@ -23,9 +23,12 @@ costate); multistart plus a shortcut-informed seed guards against local
 optima, and all starts ascend together as one batch.  ``maximize`` is the
 one entry point: its result carries the winning start's stop reason
 (``OptimizationResult.stop``), and its ``target`` stops the ascent as soon
-as one start reaches it.  A bisection on that feasibility predicate
-locates the minimum duration that reaches the concurrence ceiling
-1 + sqrt(2).
+as one start reaches it.  By default ``target`` is the concurrence ceiling
+1 + sqrt(2), which no controls can exceed (see
+``entanglement.MAX_NORMALIZED_CONCURRENCE``), less the ascent's flatness
+tolerance of 1e-10 relative: once a start is that close, no other start
+can do better.  A bisection on the feasibility predicate "some start
+reaches (1 - epsilon) of the ceiling" locates the minimum duration.
 """
 
 from __future__ import annotations
@@ -399,7 +402,7 @@ def maximize(
     base_seed: int = 1234,
     max_iter: int = 2000,
     extra_starts: tuple[ControlVector, ...] = (),
-    target: float = math.inf,
+    target: float = MAX_NORMALIZED_CONCURRENCE * (1.0 - _FLAT_TOL),
 ) -> OptimizationResult:
     """Maximise C(T)/alpha^2 over bounded piecewise-constant controls.
 
@@ -408,9 +411,14 @@ def maximize(
     ``extra_starts`` (each with ``segments`` segments), all ascending
     together with projected gradients, and returns the best; ties go to
     the earlier start.  The ascent stops as soon as some start reaches
-    ``target`` (stop reason "target"); with the default, never.  The
-    result's ``stop`` is the winning start's stop reason.  Identical
-    inputs give identical results.
+    ``target`` (stop reason "target").  The default is the ceiling
+    ``MAX_NORMALIZED_CONCURRENCE`` less the ascent's flatness tolerance
+    ``_FLAT_TOL`` (1e-10 relative): no preparation, frequency or loss rate
+    lets any controls exceed the ceiling, so a start that gets this close
+    has settled the maximisation, and a run that stays below it takes the
+    same iterates as with ``target=math.inf``.  The result's ``stop`` is
+    the winning start's stop reason.  Identical inputs give identical
+    results.
     """
     if not (math.isfinite(duration) and duration >= 0.0):
         raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
@@ -567,7 +575,8 @@ def sweep(
     controls the loss model multiplies the objective by exactly that
     factor, so the lossless optimisers remain optimal.  At three grid
     points the scaling is cross-checked against ``objective`` of the same
-    controls under ``JunctionParams(kappa)``.
+    controls under ``JunctionParams(kappa)``, to 1e-12 relative; a larger
+    gap raises ``FloatingPointError``.
     """
     durations = np.asarray(durations, dtype=float)
     kappa_list = list(kappa_list)
@@ -592,11 +601,15 @@ def sweep(
     for kappa in kappa_list:
         scaled = base * np.exp(-kappa * durations)
         for i in check_idx:
-            direct = objective(bests[i], prep, JunctionParams(kappa=kappa))
-            if abs(direct - scaled[i]) > 5e-3:
+            direct = float(objective(bests[i], prep, JunctionParams(kappa=kappa)))
+            want = float(scaled[i])
+            # relative to the smallest normal float at least: subnormal
+            # objectives carry too few bits for a relative comparison
+            gap = abs(direct - want) / max(abs(want), np.finfo(float).tiny)
+            if not gap <= 1e-12:
                 raise FloatingPointError(
                     f"lossy cross-check failed at T = {durations[i]:.3f}: "
-                    f"direct {direct:.6f} vs scaled {scaled[i]:.6f}"
+                    f"direct {direct!r} vs scaled {want!r}, relative gap {gap:.3e}"
                 )
         curves.append(SweepCurve(durations=durations.copy(), objectives=scaled, kappa=float(kappa)))
     return curves

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bjjctrl import cli
-from bjjctrl.dynamics import ControlSchedule, ControlVector
+from bjjctrl import cli, optimal_control
+from bjjctrl.dynamics import ControlSchedule, ControlVector, Trajectory
 from bjjctrl.optimal_control import OptimizationResult
 
 CLI = [sys.executable, "-m", "bjjctrl.cli"]
@@ -143,6 +143,23 @@ def test_shortcut_with_loss_applies_decay_factor():
     doc = json.loads(out)
     want = 2.41421 * math.exp(-0.05 * doc["T"])
     assert doc["final_concurrence_norm"] == pytest.approx(want, abs=1e-3)
+
+
+def test_trace_columns_are_built_only_for_out(tmp_path, monkeypatch, capsys):
+    """Without ``--out`` a trace prints its summary and builds no CSV column,
+    the manifold populations among them."""
+    monkeypatch.chdir(tmp_path)
+    argv = ("shortcut", "--profile", "fast", "--T", "15", "--steps", "200")
+    code, want, _ = main_in_process(capsys, *argv)
+    assert code == 0
+
+    def refuse(self):
+        raise AssertionError("populations built for a run without --out")
+
+    monkeypatch.setattr(Trajectory, "manifold_populations", refuse)
+    assert main_in_process(capsys, *argv) == (0, want, "")
+    with pytest.raises(AssertionError, match="without --out"):
+        main_in_process(capsys, *argv, "--out", "trace.csv")
 
 
 def test_shortcut_rejects_empty_junction():
@@ -341,6 +358,18 @@ def test_sweep_curves_and_determinism(tmp_path):
     np.testing.assert_allclose(
         lossy[:, 2], lossless[:, 2] * np.exp(-0.05 * lossless[:, 1]), atol=1e-12
     )
+
+
+def test_sweep_cross_check_gap_is_a_numerical_failure(capsys, monkeypatch):
+    real_objective = optimal_control.objective
+    monkeypatch.setattr(optimal_control, "objective",
+                        lambda *a, **k: real_objective(*a, **k) * (1.0 + 1e-9))
+    code, out, err = main_in_process(
+        capsys, "sweep", "--T", "1:2:1", "--kappa", "0,0.05", "--segments", "4",
+        "--seeds", "1", "--max-iter", "5",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: lossy cross-check failed")
 
 
 @pytest.mark.parametrize("grid", [

@@ -54,6 +54,14 @@ def batch_gradients(uj, duration, blocks):
     return optimal_control._gradient(uj, duration, x0, alpha_sq, fwd)
 
 
+def assert_same_result(a, b):
+    """Two ``maximize`` results agree bit for bit."""
+    assert (a.objective, a.iterations, a.converged, a.seed, a.stop) == (
+        b.objective, b.iterations, b.converged, b.seed, b.stop)
+    assert a.best.duration == b.best.duration
+    assert np.array_equal(a.best.u, b.best.u) and np.array_equal(a.best.j, b.best.j)
+
+
 def projected(uj):
     """Each row of controls clipped into the box."""
     return np.stack(project(uj[:, 0], uj[:, 1], BOUNDS), axis=1)
@@ -544,11 +552,49 @@ def test_optimum_dominates_feasible_shortcut(fast_run):
     assert res.objective >= seed_value - 1e-3
 
 
-def test_objective_ceiling_never_exceeded(rng):
-    values = [maximize(4.0, BOUNDS, segments=30, seeds=2, max_iter=200).objective]
-    for _ in range(20):
-        values.append(objective(random_vector(rng, n=25)))
-    assert max(values) <= CEILING + 1e-6
+@PROPERTY
+@given(problems())
+def test_objective_ceiling_never_exceeded(problem):
+    """No preparation, frequency or loss rate lets controls beat 1 + sqrt(2),
+    the bound that ``maximize``'s default target rests on."""
+    cv, prep, params = problem
+    assert objective(cv, prep, params) <= CEILING * (1.0 + 1e-12)
+
+
+def test_default_target_is_the_ceiling_less_the_flatness_tolerance():
+    """The default call stops at the ceiling, bit-equal to the call with
+    every argument written out.  A start just below the target (the scale
+    of the winning controls bisected to adjacent floats) does not stop the
+    run, and one at the target stops it before any iteration."""
+    target = CEILING * (1.0 - optimal_control._FLAT_TOL)
+    default = maximize(7.0, BOUNDS)
+    explicit = maximize(7.0, BOUNDS, 100, 8, base_seed=1234, max_iter=2000, target=target)
+    assert_same_result(default, explicit)
+    assert default.stop == "target"
+    assert target <= default.objective <= CEILING + 1e-12
+
+    def scaled(factor):
+        return ControlVector(factor * default.best.u, factor * default.best.j, 7.0)
+
+    below, at = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (below + at)
+        below, at = (below, mid) if objective(scaled(mid)) >= target else (mid, at)
+    for factor, stop in ((below, "max_iter"), (at, "target")):
+        res = maximize(7.0, BOUNDS, seeds=0, max_iter=0, extra_starts=(scaled(factor),))
+        assert (res.seed, res.stop) == (-2, stop)
+
+    unbounded = maximize(7.0, BOUNDS, target=math.inf)
+    assert unbounded.stop != "target"
+    assert unbounded.iterations > default.iterations
+
+
+def test_default_target_leaves_runs_below_the_ceiling_alone():
+    """Losses keep every start below the ceiling, so the default target
+    changes no iterate."""
+    lossy = JunctionParams(kappa=0.05)
+    assert_same_result(maximize(7.0, BOUNDS, params=lossy),
+                       maximize(7.0, BOUNDS, params=lossy, target=math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +730,23 @@ def test_sweep_validates_inputs(monkeypatch):
         sweep(np.array([]), BOUNDS, 20, [0.0])
     with pytest.raises(ValueError, match="loss rates"):
         sweep(np.array([1.0]), BOUNDS, 20, [0.0, -0.1], seeds=1, max_iter=50)
+
+
+def test_sweep_refuses_a_lossy_cross_check_gap(monkeypatch):
+    """The loss model scales the objective by exactly exp(-kappa T), so a
+    relative gap of 1e-9 is a fault."""
+    monkeypatch.setattr(optimal_control, "objective",
+                        lambda *a, **k: objective(*a, **k) * (1.0 + 1e-9))
+    with pytest.raises(FloatingPointError, match=r"relative gap 1\.000e-09"):
+        sweep([1.0, 2.0], BOUNDS, 10, [0.0, 0.05], seeds=1, max_iter=50)
+
+
+@pytest.mark.parametrize("kappa", [104.0, 106.0])
+def test_sweep_cross_check_passes_subnormal_objectives(kappa):
+    """At kappa T near 740 the lossy objective is subnormal, and its few
+    bits cannot match a relative tolerance."""
+    curve = sweep([7.0], BOUNDS, 10, [kappa], seeds=1, max_iter=20)[0]
+    assert 0.0 < curve.objectives[0] < np.finfo(float).tiny
 
 
 def test_sweep_accepts_generator_of_rates():

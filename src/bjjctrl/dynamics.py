@@ -292,16 +292,48 @@ def _rk4_steps(node, mid, h):
     return eye + (h / 6.0) * (m1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _prefix(mats):
-    """Inclusive prefix products M_i ... M_1 M_0 of (k, k, n) matrices, in
-    place, in log2(n) rounds of elementwise products (Hillis & Steele).
-    RK4 chains its (S, c11) steps with it, and the exact propagator its
-    segment rotations up to each segment's start."""
-    d = 1
-    while d < mats.shape[-1]:
-        mats[..., d:] = _mul(mats[..., d:], mats[..., :-d])
-        d *= 2
-    return mats
+def _tree(mats):
+    """Product tree of the matrices M_0 .. M_{n-1}, shape (k, k, ..., n) in
+    the layout of ``_mul``, as a list of levels.
+
+    Level 0 holds the matrices, padded with identities to a power-of-two
+    width when n is not one; level l + 1 holds the products M' M of
+    adjacent pairs M, M' of level l, so the top level holds the whole
+    product M_{n-1} ... M_0.  log2(width) rounds of elementwise products,
+    O(width) work in all (the up-sweep of Blelloch, "Prefix sums and their
+    applications", 1990).  ``_sweep`` turns the levels into states.
+    """
+    n = mats.shape[-1]
+    if n & (n - 1):  # identities up to the next power of two
+        mats = np.pad(mats, [(0, 0)] * (mats.ndim - 1) + [(0, (1 << n.bit_length()) - n)])
+        mats[range(len(mats)), range(len(mats)), ..., n:] = 1.0
+    levels = [mats]
+    while levels[-1].shape[-1] > 1:
+        levels.append(_mul(levels[-1][..., 1::2], levels[-1][..., ::2]))
+    return levels
+
+
+def _sweep(levels, x):
+    """The states E_i x, i = 0 .. width, of the ``_tree`` ``levels`` over
+    the columns x, shape (k, m, ...), with E_i = M_{i-1} ... M_0 (E_0 = I),
+    stacked along a new last axis.
+
+    The down-sweep: a tree node spans matrices [a, b), and E_a x is known
+    for it.  Its left child starts where it does, at E_a x, and its right
+    child at E_c x = L E_a x, c the midpoint and L the left child's
+    product, so each level takes one elementwise product on its left
+    children.  The top node is taken as the left child of a root over
+    [0, 2 width), which gives E_width x = T x, T the top product; the
+    leaves give every E_i x with i < width.  Past the real matrices the
+    identities of the padding repeat E_n x.
+    """
+    width = levels[0].shape[-1]
+    cols = np.empty(x.shape + (width + 1,), dtype=complex)
+    cols[..., 0] = x
+    for level in levels[::-1]:
+        step = 2 * width // level.shape[-1]  # between the nodes one level up
+        cols[..., step // 2:width + 1:step] = _mul(level[..., ::2], cols[..., :width:step])
+    return cols
 
 
 def _frame_generators(u, j, omega_eff):
@@ -341,7 +373,7 @@ def _rk4(schedule, tgrid, omega_eff, out):
     """Filler of rows lo + 1 .. hi of ``out`` from row lo by RK4 steps.  In
     the ``_FRAME`` basis the step matrices are elementwise: the scalar modes
     P, M and A advance by cumulative products of their step factors, and
-    (S, c11) by the prefix products of its 2x2 steps."""
+    (S, c11) by the ``_sweep`` of its 2x2 steps' ``_tree``."""
     h = schedule.duration / (tgrid.size - 1)
     u_nodes, j_nodes = schedule.controls_at(tgrid)
     u_mid, j_mid = schedule.controls_at(tgrid[:-1] + 0.5 * h)
@@ -353,7 +385,7 @@ def _rk4(schedule, tgrid, omega_eff, out):
         x = _FRAME @ out[lo]
         rows = out[lo + 1:hi + 1]
         rows[:, [1, 2, 5]] = (np.cumprod(scalars[0, 0], axis=-1) * x[[1, 2, 5], None]).T
-        rows[:, [4, 3]] = (_prefix(pair) * x[[4, 3], None]).sum(axis=1).T
+        rows[:, [4, 3]] = _sweep(_tree(pair), x[[4, 3], None])[:, 0, 1:hi - lo + 1].T
         rows[:] = rows @ _FRAME
     return fill
 
@@ -363,8 +395,9 @@ def _exact(cv, tgrid, omega_eff, out):
     piecewise-constant controls ``cv``: (c10, c01) from the integrated
     coupling Theta(t); in the (S, c11, A) basis of ``_rotation`` the phases
     exp(-i (Phi + 2 w t)) on (S, c11) and exp(-2i (Phi + w t)) on A, with
-    Phi(t) the integrated nonlinearity, and the rotations' prefix products
-    to each segment, each sample advanced by its offset into its segment."""
+    Phi(t) the integrated nonlinearity; (S, c11) at each segment's start by
+    the ``_sweep`` of the segment rotations' ``_tree``, and each sample
+    advanced from there by its offset into its segment."""
     dt = cv.duration / cv.segments
     k = cv._segment(tgrid)
     offset = tgrid - k * dt
@@ -372,8 +405,7 @@ def _exact(cv, tgrid, omega_eff, out):
     phi = dt * np.cumsum(np.append(0.0, cv.u))[k] + offset * u
     theta = dt * np.cumsum(np.append(0.0, cv.j))[k] + offset * j
     x0 = _Q_SYM @ out[0, _TWO]  # (S, c11, A)
-    before = (_prefix(_rotation(cv.u[:-1], cv.j[:-1], dt)[0]) * x0[:2, None]).sum(axis=1)
-    edges = np.column_stack((x0[:2], before))  # (S, c11) at each segment's start
+    edges = _sweep(_tree(_rotation(cv.u, cv.j, dt)[0]), x0[:2, None])[:, 0]
 
     def fill(lo, hi):
         rows = slice(lo + 1, hi + 1)
@@ -400,12 +432,12 @@ def propagate(
 
     A sampled ``ControlSchedule`` (U and J linearly interpolated between
     samples) is integrated by fixed-step classical 4th-order Runge-Kutta,
-    per chunk a cumulative product on each scalar mode of ``_FRAME`` and a
-    prefix product on (S, c11); piecewise-constant ``ControlVector``
-    controls are propagated exactly, up to floating point, whatever
-    ``steps``.  ``params`` holds the frequency and loss rate.  Raises
-    FloatingPointError (and warns of nothing) if the state stops being
-    finite (runaway step size).
+    per chunk a cumulative product on each scalar mode of ``_FRAME`` and
+    the ``_tree`` and ``_sweep`` scan on (S, c11); piecewise-constant
+    ``ControlVector`` controls are propagated exactly, up to floating
+    point, whatever ``steps``.  ``params`` holds the frequency and loss
+    rate.  Raises FloatingPointError (and warns of nothing) if the state
+    stops being finite (runaway step size).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

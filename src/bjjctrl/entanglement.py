@@ -21,6 +21,8 @@ from .dynamics import TruncatedState
 #:   conserved, or decay when kappa > 0;
 #: - so |c10 c01| <= alpha^2/2 and |c11| <= alpha^2/sqrt(2);
 #: - so C/alpha^2 <= 2 (1/sqrt(2) + 1/2) = 1 + sqrt(2).
+#: The bound holds for every preparation but is tight for the symmetric
+#: one, which controls drive to it; for other preparations it can be loose.
 MAX_NORMALIZED_CONCURRENCE = 1.0 + math.sqrt(2.0)
 
 

@@ -8,18 +8,17 @@ in a frame where it needs little work:
 - In the basis S = (c20 + c02)/sqrt(2), A = (c20 - c02)/sqrt(2) the
   two-quanta block splits into a 2x2 part on (S, c11) and a pure phase on
   A, which never reaches c11.  Each segment's 2x2 part is a phase times a
-  rotation R in SU(2); the phases multiply out to one per start, and a
-  balanced tree of elementwise 2x2 products over every segment and start
-  multiplies the rotations in log2(segments) rounds (Blelloch, "Prefix
-  sums and their applications", 1990).
+  rotation R in SU(2); the phases multiply out to one per start, and the
+  rotations of every segment and start multiply out in the product tree
+  of ``dynamics._tree``.
 - The one-quantum block is diagonal in (c10 +- c01)/sqrt(2), so its final
   amplitudes have a closed form in the integrated coupling dt sum(j).
 
 Maximisation uses spectral projected gradient ascent (Barzilai-Borwein
 steps under a nonmonotone Armijo test; Birgin, Martinez & Raydan, SIAM J.
-Optim. 10, 1196 (2000)) with adjoint gradients (the accepted trial's
-product tree swept back down for each segment's state, unitarity for its
-costate); multistart plus a shortcut-informed seed guards against local
+Optim. 10, 1196 (2000)) with adjoint gradients (``dynamics._sweep`` of
+the accepted trial's product tree for each segment's state, unitarity for
+its costate); multistart plus a shortcut-informed seed guards against local
 optima, and all starts ascend together as one batch.  ``maximize`` is the
 one entry point: its result carries the winning start's stop reason
 (``OptimizationResult.stop``), and its ``target`` stops the ascent as soon
@@ -45,9 +44,10 @@ from .dynamics import (
     InitialPreparation,
     JunctionParams,
     SQRT2,
-    _mul,
     _one_quantum,
     _rotation,
+    _sweep,
+    _tree,
     effective_frequency,
     initial_state,
     symmetric_preparation,
@@ -101,28 +101,25 @@ def _forward(uj, duration, y0, x0, omega_eff):
     ``uj`` holds one row of controls per start, shape (starts, 2, segments),
     u in ``uj[:, 0]`` and j in ``uj[:, 1]``.  Segment k maps (S, c11) by a
     phase times the rotation R_k of ``dynamics._rotation``, and the phases
-    multiply out to one per start.  Level 0 of the tree holds the rotations,
-    padded to a power-of-two width with the identities of zero controls, in
-    ``_mul``'s layout (2, 2, starts, width); level l + 1 holds the products
-    R' R of adjacent pairs R, R' of level l, so the top is each row's whole
-    product.  The pass is (levels..., y, s, phase, c10, c01, c11), with rows
-    on axis -2 throughout: ``_rotation``'s y and s as (starts, width), the
-    rest (starts, 1).  The one-quantum amplitudes follow from dt sum(j).
+    multiply out to one per start.  The controls are padded with zeros,
+    whose rotations are identities, to a power-of-two width, so
+    ``dynamics._tree`` adds no padding of its own; its levels have shape
+    (2, 2, starts, width / 2^l).  The pass is (levels..., y, s, phase,
+    c10, c01, c11), with rows on axis -2 throughout: ``_rotation``'s y and
+    s as (starts, width), the rest (starts, 1).  The one-quantum amplitudes
+    follow from dt sum(j).
     """
     starts, _, n = uj.shape
     dt = duration / n
     padded = np.zeros((2, starts, 1 << (n - 1).bit_length()))  # u, j contiguous
     padded[..., :n] = uj.transpose(1, 0, 2)
     rot, y, s = _rotation(padded[0], padded[1], dt)
-    levels = [rot]
-    while levels[-1].shape[-1] > 1:
-        levels.append(_mul(levels[-1][..., 1::2], levels[-1][..., ::2]))
-    top = levels[-1]
+    *levels, top = _tree(rot)
     sums = dt * uj.sum(axis=2, keepdims=True)
     phase = np.exp(-1j * (sums[:, 0] + 2.0 * omega_eff * duration))
     one = _one_quantum(sums[:, 1], np.exp(-1j * omega_eff * duration), y0)
     c10, c01 = one[:, :1], one[:, 1:]
-    return (*levels, y, s, phase, c10, c01, phase * (top[1, 0] * x0[0] + top[1, 1] * x0[1]))
+    return (*levels, top, y, s, phase, c10, c01, phase * (top[1, 0] * x0[0] + top[1, 1] * x0[1]))
 
 
 def _value(fwd, alpha_sq):
@@ -167,9 +164,8 @@ def _gradient(uj, duration, x0, alpha_sq, fwd):
 
     Adjoint method: segment k's derivatives need the state x_k = E_k x0
     entering it, E_k = R_{k-1} ... R_0, and the costate
-    lam_k = e_1^T R_{n-1} ... R_{k+1}.  A down-sweep of the product tree
-    applies every E_k to two columns at once, in place: a left child starts
-    where its parent does, a right child after its sibling's product.  Each
+    lam_k = e_1^T R_{n-1} ... R_{k+1}.  One ``dynamics._sweep`` of the
+    pass's product tree applies every E_k to two columns at once.  Each
     R_k is in SU(2), so R_{n-1} ... R_{k+1} = T E_{k+1}^dagger with T the
     top product, and lam_k^T = conj(E_{k+1} conj(T^T e_1)): the costates are
     the sweep's second column, one segment on.  The contractions with the
@@ -197,16 +193,13 @@ def _gradient(uj, duration, x0, alpha_sq, fwd):
     # -i dt (c10^2 + c01^2)
     pref = (2.0 / alpha_sq) * w.conj() / modulus
     scale = pref * phase
-    # column k < width of the sweep holds E_k (x0, v), v = conj(scale
-    # T^T e_1), and column width T v = conj(scale) e_1, by unitarity
-    width = y.shape[-1]
-    cols = np.zeros((2, 2, len(phase), width + 1), dtype=complex)
-    cols[:, 0, :, 0] = x0[:, None]
-    cols[:, 1, :, :1] = (scale * levels[-1][1]).conj()
-    cols[1, 1, :, width] = scale.conj()[:, 0]
-    for level in levels[-2::-1]:
-        step = 2 * width // level.shape[-1]  # between the nodes one level up
-        cols[..., step // 2:width:step] = _mul(level[..., ::2], cols[..., :width:step])
+    # column k of the sweep holds E_k (x0, v), v = conj(scale T^T e_1); the
+    # costate's column width is T v = conj(scale) e_1 by unitarity, which
+    # replaces the sweep's rounded product there
+    start = np.empty((2, 2, len(scale)), dtype=complex)
+    start[:, 0], start[:, 1] = x0[:, None], (scale * levels[-1][1]).conj()[..., 0]
+    cols = _sweep(levels, start)
+    cols[:, 1, :, -1] = np.zeros(len(scale)), scale.conj()[:, 0]
     x, lam = cols[:, 0, :, :n], cols[:, 1, :, 1:n + 1].conj()
     # R' = [[a - ib, ic], [ic, a + ib]] with real a, b, c, so that with
     # p0 = lam0 x0, p1 = lam1 x1 and p01 = lam0 x1 + lam1 x0,

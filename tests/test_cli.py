@@ -408,11 +408,11 @@ def test_optimiser_commands_reject_invalid_bounds(capsys, argv, bounds):
 #: part of simulate's config line, so the runs share one directory.
 CSV_SHA256 = [
     (("shortcut", "--profile", "fast", "--steps", "200", "--out", "shortcut.csv"),
-     "9137463b4f8dcb2cd8fb6a25c03cd4d32dfff15e10099cfd5ffd3f5569373ae5",
+     "a27c0aa541ff5bc1f975aefa8f8e054b2e4ece5ab9c28bcb528a3e6e56f3616a",
      "afc87c7dace26f95e7d3181843df5c85077518831ad5bd5adf25d740e7e84a15"),
     (("simulate", "--schedule", "shortcut.csv", "--steps", "200", "--out", "simulate.csv"),
-     "742935ccd7777817a0eb8c8683fb85cd9ed1723a622e8525ba68afd0d9c8d4e4",
-     "7e9a6db87f12d285d4b3dea66c7dcf2185fcb6f0af27ac9d607ada8f229772ae"),
+     "9a6bf37f6e7cc866de29c65ddf4322b457ef9a5f400a1ef168798d5f758196db",
+     "16984b0375f6666b3ba6258c857524501b14e1fd6dd589b4f1295ace83f9a377"),
     (("optimize", "--T", "3", "--segments", "10", "--seeds", "1", "--out", "optimize.csv"),
      "da94ae84db9631c524c4c65868b800d7479f0cfd44fe0ddff2a9caa5340c5c9c",
      "8957da0ceda2dd3836ec6e678282dc8e1c654c06a28404361f809d097b0b7998"),
@@ -424,7 +424,7 @@ CSV_SHA256 = [
      "222f3b1bc74e3f1f4eaa639b969d7cd8eb62f37d04e3c1b68811e4f2838ad76b",
      "493f1329b68d2f4f43dabe86aec2902a023ec6207ec1cec20a701a6ba2af4762"),
     (("shortcut", "--profile", "original", "--steps", "200", "--out", "shortcut_original.csv"),
-     "223d0818ec0f2798d563945a53ca711af31ac13316eb5feb2316bf729c5255ba",
+     "6314f6c665598a632852576263d1a821dd24d34ea0b626c1583f6cf199de407e",
      "e0b6b3ad0469f0cab35f31ac08601200c568ca535afb7572d2f8e5e39f45a2f3"),
 ]
 
@@ -443,6 +443,93 @@ def test_csv_bytes_are_pinned(tmp_path, monkeypatch, capsys):
             if found != digest:
                 mismatches.append((" ".join(argv), what, found))
     assert not mismatches, "\n".join(f"{cmd}: {what} {found}" for cmd, what, found in mismatches)
+
+
+#: Runs the ``CSV_SHA256`` commands in one process, in the working
+#: directory, and prints their exit codes and stdouts, with the SIMD
+#: dispatch levels numpy runs, as one JSON document.
+PINNED_RUN = """
+import contextlib, io, json, sys
+from numpy._core import _multiarray_umath as umath
+from bjjctrl import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append((cli.main(argv), out.getvalue()))
+on = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+print(json.dumps({"runs": runs, "dispatch": on}))
+"""
+
+
+def dispatch_masks():
+    """One ``NPY_DISABLE_CPU_FEATURES`` value per SIMD dispatch level this
+    host runs: the level and every level above it, so that numpy falls
+    back to the next level down, as on a host without it."""
+    from numpy._core import _multiarray_umath as umath
+
+    on = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return [" ".join(on[i:]) for i in range(len(on))]
+
+
+def pinned_values(directory, mask):
+    """Each ``CSV_SHA256`` command, run in a subprocess in ``directory``
+    with the dispatch levels ``mask`` off, as (exact, numbers): the parts
+    of its stdout and CSV that must match exactly, and the stdout numbers
+    followed by the CSV entries."""
+    env = {k: v for k, v in ENV.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if mask:
+        env["NPY_DISABLE_CPU_FEATURES"] = mask
+    argvs = [list(argv) for argv, _, _ in CSV_SHA256]
+    proc = subprocess.run([sys.executable, "-c", PINNED_RUN, json.dumps(argvs)], cwd=directory,
+                          capture_output=True, text=True, timeout=900, env=env)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert not set(mask.split()) & set(doc["dispatch"]), doc["dispatch"]
+    values = []
+    for (code, out), argv in zip(doc["runs"], argvs):
+        assert code == 0, argv
+        printed = json.loads(out)
+        numeric = sorted(k for k, v in printed.items() if type(v) in (int, float))
+        meta, header, rows = read_csv(Path(directory) / argv[-1])
+        exact = ({k: v for k, v in printed.items() if k not in numeric}, numeric, meta, header,
+                 rows.shape)
+        values.append((exact, np.concatenate(([printed[k] for k in numeric], rows.ravel()))))
+    return values
+
+
+def relative_gaps(want, got):
+    """Per command, the largest gap of ``got``'s numbers from ``want``'s
+    (both as ``pinned_values`` gives them), relative to their size but at
+    least 1: the outputs are normalised to order 1, and the conservation
+    residuals, relative already, are rounding noise.  Where the exact
+    parts differ, the gap is infinite."""
+    gaps = []
+    for (want_exact, a), (exact, b) in zip(want, got):
+        if exact != want_exact:
+            gaps.append(math.inf)
+        else:
+            gaps.append(float(np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(abs(a), abs(b))))))
+    return gaps
+
+
+def test_pinned_commands_agree_across_simd_levels(tmp_path):
+    """Below this host's SIMD dispatch levels numpy's float64 kernels may
+    round differently, so the byte pins may not hold; every pinned value
+    must still agree with this host's to 1e-12 relative."""
+    masks = dispatch_masks()
+    if not masks:
+        pytest.skip("numpy dispatches no SIMD level above its baseline here")
+    (tmp_path / "full").mkdir()
+    want = pinned_values(tmp_path / "full", "")
+    failures = []
+    for i, mask in enumerate(masks):
+        (tmp_path / str(i)).mkdir()
+        gaps = relative_gaps(want, pinned_values(tmp_path / str(i), mask))
+        for (argv, _, _), gap in zip(CSV_SHA256, gaps):
+            if not gap <= 1e-12:
+                failures.append(f"{mask}: {' '.join(argv)}: relative gap {gap:.3g}")
+    assert not failures, "\n".join(failures)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from bjjctrl.dynamics import _CHUNK
+from bjjctrl.dynamics import _CHUNK, _sweep, _tree
 
 from bjjctrl import (
     ControlSchedule,
@@ -242,6 +242,42 @@ def test_rk4_matches_stepwise_oracle_on_random_runs(run):
     traj = propagate(state, schedule, JunctionParams(omega, kappa), steps)
     want = rk4_oracle(state, schedule, omega, kappa, steps)
     assert np.max(np.abs(traj.amplitudes - want)) < 1e-12
+
+
+@st.composite
+def matrix_chains(draw):
+    """n non-unitary complex 2x2 matrices I + h Z in ``_mul``'s layout
+    (2, 2, n), like RK4's steps, with Z's entries normal and h in
+    [0, 0.1], and start columns x of shape (2, m), m in {1, 2}; n is
+    around the powers of two where the tree's padding starts or ends."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 1023, 1024, 1025]))
+    m = draw(st.integers(1, 2))
+    h = draw(st.floats(0.0, 0.1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=(2, 2, n)) + 1j * rng.normal(size=(2, 2, n))
+    mats = np.eye(2)[:, :, None] + h * z
+    return mats, rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(matrix_chains())
+def test_sweep_of_tree_is_the_sequential_chain(chain):
+    """Column i of the scan is M_{i-1} ... M_0 x for i = 0 .. n, through
+    the identity padding and the top product's column; past n the
+    padding repeats the last state."""
+    mats, x = chain
+    n = mats.shape[-1]
+    want = [x]
+    for k in range(n):
+        want.append(mats[..., k] @ want[-1])
+    want = np.stack(want, axis=-1)
+    got = _sweep(_tree(mats), x)
+    width = 1 << (n - 1).bit_length()
+    assert got.shape == x.shape + (width + 1,)
+    scale = np.linalg.norm(want, axis=0)
+    assert np.all(np.linalg.norm(got[..., :n + 1] - want, axis=0) <= 1e-12 * scale)
+    tail = got[..., n:] - want[..., -1:]
+    assert np.all(np.linalg.norm(tail, axis=0) <= 1e-12 * scale[:, -1:])
 
 
 def test_propagate_aborts_on_blowup():

@@ -486,13 +486,14 @@ def minimum_time(
 ) -> float:
     """Smallest duration whose optimum reaches (1 - epsilon) of the ceiling.
 
-    Coarse scan ``coarse = (start, stop, step)`` for a feasibility bracket,
-    then bisection down to ``resolution``.  Each probe is one ``maximize``
-    call with the feasibility level as its ``target``, so it stops as soon
-    as some start reaches it (stop reason "target").  Every probe
-    warm-starts from the previous probe's best controls, and logs one
-    DEBUG record: duration, best objective, verdict, and the winner's
-    iterations and ``stop``.  The answer inherits the optimiser's
+    Coarse scan of ``shortcuts.duration_grid(*coarse)`` for a feasibility
+    bracket, then bisection down to ``resolution``; a grid it refuses, or
+    one from T <= 0, raises ValueError before any probe.  Each probe is
+    one ``maximize`` call with the feasibility level as its ``target``, so
+    it stops as soon as some start reaches it (stop reason "target").
+    Every probe warm-starts from the previous probe's best controls, and
+    logs one DEBUG record: duration, best objective, verdict, and the
+    winner's iterations and ``stop``.  The answer inherits the optimiser's
     discretisation, so treat it as a window of width ~resolution around
     the ideal value.
     """
@@ -500,12 +501,12 @@ def minimum_time(
         raise ValueError("epsilon must lie in (0, 0.05]")
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
-    start, stop, step = coarse
-    if not (all(map(math.isfinite, coarse)) and 0.0 < start <= stop < stop + step):
-        raise ValueError(
-            "coarse (start, stop, step) must be finite with 0 < start <= stop "
-            f"and a step > 0 that advances the scan, got {tuple(coarse)!r}"
-        )
+    try:
+        if not coarse[0] > 0.0:
+            raise ValueError("scan start must be positive")
+        scan = shortcuts.duration_grid(*coarse).tolist()
+    except ValueError as exc:
+        raise ValueError(f"coarse (start, stop, step) {tuple(coarse)!r}: {exc}") from None
     target = MAX_NORMALIZED_CONCURRENCE * (1.0 - epsilon)
     warm: tuple[ControlVector, ...] = ()
 
@@ -527,15 +528,13 @@ def minimum_time(
 
     lo = None
     hi = None
-    t = start
-    while t <= stop + 1e-12:
+    for t in scan:
         if feasible(t):
             hi = t
             break
         lo = t
-        t += step
     if hi is None:
-        raise RuntimeError(f"no feasible duration in [{start}, {stop}]")
+        raise RuntimeError(f"no feasible duration in [{coarse[0]}, {coarse[1]}]")
     if lo is None:
         return hi
     while hi - lo > resolution:
@@ -552,8 +551,8 @@ def minimum_time(
 def sweep(
     durations,
     bounds: tuple[float, float],
-    segments: int = 100,
-    kappa_list=(0.0,),
+    segments: int,
+    kappa_list,
     *,
     prep: InitialPreparation | None = None,
     seeds: int = 2,

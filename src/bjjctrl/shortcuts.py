@@ -29,7 +29,6 @@ the inverse of that peak.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,12 +46,50 @@ _HALF_PI = math.pi / 2.0
 #: over the ~4000 Simpson nodes stays near a quarter megabyte.
 _LHS_CHUNK = 8
 
-#: Most points a duration scan may hold: about 25 s of phase-condition
-#: evaluations, and an 8 MB grid for ``duration --out``.
+#: Most points any duration grid may hold (see ``duration_grid``): about
+#: 25 s of phase-condition evaluations for a root scan, an 8 MB curve for
+#: ``duration --out``, and a bound on ``sweep`` and ``minimum_time`` grids.
 MAX_SCAN_POINTS = 1_000_000
 
 #: Simpson nodes per unit of s in the phase node table.
 _POINTS_PER_UNIT = 4000
+
+
+def duration_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Every duration grid: start + k*step for k = 0, 1, ... up to the last
+    point that does not pass ``stop`` (inclusive, never exceeded).
+
+    Raises ValueError, before allocating, when a bound is not finite, the
+    step is not positive or does not advance past ``start``, ``stop <
+    start`` or the grid would hold more than ``MAX_SCAN_POINTS`` points;
+    and when rounding makes two consecutive points equal.
+    """
+    for name, value in zip(("start", "stop", "step"), (start, stop, step)):
+        if not math.isfinite(value):
+            raise ValueError(f"scan {name} must be finite, got {value!r}")
+    if not step > 0.0:
+        raise ValueError(f"scan step must be positive, got {step!r}")
+    if start + step == start:
+        raise ValueError(f"scan step {step!r} does not advance past T = {start!r}")
+    if stop < start:
+        raise ValueError(f"scan stop {stop!r} is below its start {start!r}")
+    # (stop - start) / step, which may be infinite, is within a rounding of
+    # the last k; the loops settle it on the points' own arithmetic
+    last = int(min((stop - start) / step, MAX_SCAN_POINTS))
+    while last > 0 and start + last * step > stop:
+        last -= 1
+    while last < MAX_SCAN_POINTS and start + (last + 1) * step <= stop:
+        last += 1
+    if last >= MAX_SCAN_POINTS:
+        raise ValueError(
+            f"scan step {step!r} gives more than {MAX_SCAN_POINTS} points on [{start!r}, {stop!r}]"
+        )
+    points = start + step * np.arange(last + 1, dtype=float)
+    stalled = np.flatnonzero(np.diff(points) <= 0.0)
+    if stalled.size:
+        prev = float(points[stalled[0]])
+        raise ValueError(f"scan step {step!r} does not advance past T = {prev!r}")
+    return points
 
 
 @dataclass(frozen=True)
@@ -104,8 +141,8 @@ class ReferenceProfile:
     kind: str
     angle: PiecewisePoly
     gap: PiecewisePoly
-    # points_per_unit -> phase node table, filled by _node_table
-    _node_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the phase node table, filled by the first _node_table call
+    _phase_nodes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -229,35 +266,34 @@ def simpson_uniform(y, dx):
     return acc * (dx / 3.0)
 
 
-def simpson_pieces(edges, points_per_unit=_POINTS_PER_UNIT):
-    """(nodes, spacing) of each nonempty piece [edges[k], edges[k+1]]: an even
-    number of intervals, at least 4 and about ``points_per_unit`` per unit."""
+def simpson_pieces(edges):
+    """(nodes, spacing) of each piece [edges[k], edges[k+1]] of increasing
+    edges: an even number of intervals, at least 4 and about
+    ``_POINTS_PER_UNIT`` per unit."""
     for lo, hi in zip(edges[:-1], edges[1:]):
         width = hi - lo
-        if width <= 0.0:
-            continue
-        n = max(int(np.ceil(width * points_per_unit)), 4)
+        n = max(int(np.ceil(width * _POINTS_PER_UNIT)), 4)
         if n % 2:
             n += 1
         yield np.linspace(lo, hi, n + 1), width / n
 
 
-def _node_table(profile: ReferenceProfile, points_per_unit: int) -> list:
+def _node_table(profile: ReferenceProfile) -> list:
     """Per Simpson piece: (E0 cos phi, (E0 sin phi)^2, E0, phi', node spacing).
 
-    None of these depends on T, so each profile tabulates them once per
-    resolution, and the phase condition and both transfer phases reuse
-    them for every T.  The table lives and dies with the profile object
-    (the CLI builds a new one per command).
+    None of these depends on T, so each profile tabulates them once, and
+    the phase condition and both transfer phases reuse them for every T.
+    The table lives and dies with the profile object (the CLI builds a new
+    one per command).
     """
-    table = profile._node_tables.get(points_per_unit)
-    if table is None:
-        table = []
-        for s, dx in simpson_pieces(profile.breakpoints, points_per_unit):
+    table = profile._phase_nodes
+    if not table:
+        rows = []  # kept only once whole
+        for s, dx in simpson_pieces(profile.breakpoints):
             phi = profile.angle(s)
             e0 = profile.gap(s)
-            table.append((e0 * np.cos(phi), (e0 * np.sin(phi)) ** 2, e0, profile.angle(s, 1), dx))
-        profile._node_tables[points_per_unit] = table
+            rows.append((e0 * np.cos(phi), (e0 * np.sin(phi)) ** 2, e0, profile.angle(s, 1), dx))
+        table.extend(rows)
     return table
 
 
@@ -273,9 +309,7 @@ def _lhs_block(table: list, durations: np.ndarray) -> np.ndarray:
     return durations * total
 
 
-def duration_lhs(
-    profile: ReferenceProfile, duration, points_per_unit: int = _POINTS_PER_UNIT
-) -> float | np.ndarray:
+def duration_lhs(profile: ReferenceProfile, duration) -> float | np.ndarray:
     """Left-hand side of the phase-difference condition at duration T.
 
     T * Int_0^1 (E0/2) (cos phi + sin phi sqrt(1 + phi'^2/(T^2 E0^2 sin^2 phi)) - 1) ds,
@@ -294,25 +328,12 @@ def duration_lhs(
     bad = ~(np.isfinite(durations) & (durations > 0.0))
     if bad.any():
         raise ValueError(f"duration must be finite and positive, got {float(durations[bad][0])!r}")
-    table = _node_table(profile, points_per_unit)
+    table = _node_table(profile)
     flat = durations.ravel()
     lhs = np.empty_like(flat)
     for i in range(0, flat.size, _LHS_CHUNK):
         lhs[i : i + _LHS_CHUNK] = _lhs_block(table, flat[i : i + _LHS_CHUNK])
     return float(lhs[0]) if durations.ndim == 0 else lhs.reshape(durations.shape)
-
-
-def _scan_points(start: float, stop: float, step: float):
-    """start, start + step, ... up to stop, accumulated one step at a time.
-    A step too small to move a point past its predecessor is an error."""
-    t = start
-    while True:
-        yield t
-        t, prev = t + step, t
-        if t > stop + 1e-12:
-            return
-        if t == prev:
-            raise ValueError(f"scan step {step!r} does not advance past T = {prev!r}")
 
 
 def solve_duration(
@@ -321,44 +342,27 @@ def solve_duration(
 ) -> float:
     """Smallest duration satisfying the phase-difference condition.
 
-    Scans the LHS - pi sign along the given (start, stop, step) grid for
-    its first crossing, then bisects 60 times.  The LHS grows linearly
-    for large T, so a single crossing exists for sensible profiles.  The
-    scan evaluates its points in blocks of a few durations per
-    ``duration_lhs`` call and stops after the first block that holds a
-    crossing; the profile's node table is built by the first call and
-    reused by every scan block and bisection step.  A scan of more than
-    ``MAX_SCAN_POINTS`` points is refused before any evaluation.
+    Scans the LHS - pi sign along ``duration_grid(*scan)`` for its first
+    crossing, then bisects 60 times.  The LHS grows linearly for large T,
+    so a single crossing exists for sensible profiles.  The scan evaluates
+    its points in blocks of a few durations per ``duration_lhs`` call and
+    stops after the first block that holds a crossing; the profile's node
+    table is built by the first call and reused by every scan block and
+    bisection step.  A grid that ``duration_grid`` refuses raises its
+    ValueError before any evaluation.
     """
-    for name, value in zip(("start", "stop", "step"), scan):
-        if not math.isfinite(value):
-            raise ValueError(f"scan {name} must be finite, got {value!r}")
-    start, stop, step = scan
-    if not step > 0.0:
-        raise ValueError(f"scan step must be positive, got {step!r}")
-    if start + step == start:
-        raise ValueError(f"scan step {step!r} does not advance past T = {start!r}")
-    if (stop - start) / step > MAX_SCAN_POINTS:
-        raise ValueError(
-            f"scan step {step!r} gives more than {MAX_SCAN_POINTS} points on [{start!r}, {stop!r}]"
-        )
-    points = _scan_points(start, stop, step)
-    bracket = None
-    t_prev = f_prev = None
-    while bracket is None and (block := list(itertools.islice(points, _LHS_CHUNK))):
-        for t, f in zip(block, duration_lhs(profile, np.array(block)) - math.pi):
-            if f_prev is not None:
-                if f == 0.0:
-                    return t
-                if f_prev < 0.0 < f or f < 0.0 < f_prev:
-                    bracket = (t_prev, f_prev, t)
-                    break
-            t_prev, f_prev = t, f
-    if bracket is None:
-        raise RuntimeError(
-            f"no phase-condition crossing for T in [{start}, {stop}]"
-        )
-    lo, f_lo, hi = bracket
+    grid = duration_grid(*scan)
+    blocks = (grid[i : i + _LHS_CHUNK] for i in range(0, grid.size, _LHS_CHUNK))
+    points = (tf for b in blocks for tf in zip(b.tolist(), duration_lhs(profile, b) - math.pi))
+    lo, f_lo = next(points)
+    for hi, f in points:
+        if f == 0.0:
+            return hi
+        if f_lo < 0.0 < f or f < 0.0 < f_lo:
+            break
+        lo, f_lo = hi, f
+    else:
+        raise RuntimeError(f"no phase-condition crossing for T in [{scan[0]}, {scan[1]}]")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         f_mid = duration_lhs(profile, mid) - math.pi
@@ -392,7 +396,7 @@ def phases(
     if schedule is not None and abs(schedule.duration - duration) > 1e-9 * max(1.0, duration):
         raise ValueError("schedule duration does not match T")
     theta = zeta = 0.0
-    for e0_cos, e0_sin_sq, e0, rate, dx in _node_table(profile, _POINTS_PER_UNIT):
+    for e0_cos, e0_sin_sq, e0, rate, dx in _node_table(profile):
         theta += simpson_uniform(0.5 * (e0 - e0_cos), dx)
         zeta += simpson_uniform(np.sqrt(e0_sin_sq + (rate / duration) ** 2) / 4.0, dx)
     return TransferPhases(float(duration * theta), float(2.0 * duration * zeta))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bjjctrl import cli, optimal_control
+from bjjctrl import cli, optimal_control, shortcuts
 from bjjctrl.dynamics import ControlSchedule, ControlVector, Trajectory
 from bjjctrl.optimal_control import OptimizationResult
 
@@ -113,6 +113,30 @@ def test_duration_refuses_grid_of_too_many_points(tmp_path, monkeypatch, capsys)
     assert code == 2 and out == ""
     assert "scan step 1e-15 gives more than 1000000 points" in err
     assert not (tmp_path / "never.csv").exists()
+
+
+def test_duration_curve_is_the_scanned_grid(tmp_path, monkeypatch, capsys):
+    """With a step whose multiples round, the --out curve, less its root
+    row, is the scan's grid bit for bit, and the scan walked its prefix."""
+    scanned = []
+    real_lhs = shortcuts.duration_lhs
+
+    def recording(profile, duration):
+        if np.ndim(duration):  # a scan block; bisection steps are scalars
+            scanned.extend(duration.tolist())
+        return real_lhs(profile, duration)
+
+    monkeypatch.setattr(shortcuts, "duration_lhs", recording)
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = main_in_process(
+        capsys, "duration", "--profile", "fast", "--grid-step", "0.3", "--out", "curve.csv",
+    )
+    assert code == 0
+    _, _, rows = read_csv(tmp_path / "curve.csv")
+    curve = rows[:-1, 0].tolist()
+    assert curve == shortcuts.duration_grid(0.5, 300.0, 0.3).tolist()
+    assert scanned and scanned == curve[: len(scanned)]
+    assert curve[-1] <= 300.0 < curve[-1] + 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +409,44 @@ def test_sweep_rejects_non_finite_grid(capsys, monkeypatch, grid):
     code, out, err = main_in_process(capsys, "sweep", "--T", grid)
     assert code == 2 and out == ""
     assert err.startswith("configuration error: duration grid")
+
+
+def test_sweep_grid_never_passes_its_stop(tmp_path):
+    out_file = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        "sweep", "--T", "1:2:0.6", "--kappa", "0", "--segments", "4", "--seeds", "1",
+        "--max-iter", "5", "--out", str(out_file),
+    )
+    assert code == 0
+    _, _, rows = read_csv(out_file)
+    assert rows[:, 1].tolist() == [1.0, 1.6]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("optimize", "--T", "2", "--bounds", "1,,0.25,"), "bounds list '1,,0.25,'"),
+    (("optimize", "--T", "2", "--bounds", "1,0.25,"), "bounds list '1,0.25,'"),
+    (("sweep", "--T", "1:2:1", "--kappa", "0,,0.05"), "kappa list '0,,0.05'"),
+    (("sweep", "--T", "1:2:1", "--kappa", " "), "kappa list ' '"),
+    (("duration", "--profile", "fast", "--knots", "0.9,0.2,,0.8"), "knots list '0.9,0.2,,0.8'"),
+])
+def test_empty_list_field_is_a_configuration_error(capsys, monkeypatch, argv, named):
+    for name in ("maximize", "sweep", "solve_duration"):
+        monkeypatch.setattr(cli, name, _refuse_to_run)
+    code, out, err = main_in_process(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named in err
+
+
+def test_list_values_may_carry_spaces(capsys):
+    code, out, _ = main_in_process(
+        capsys, "optimize", "--T", "2", "--bounds", " 1 , 0.25 ", "--segments", "4",
+        "--seeds", "1", "--max-iter", "5",
+    )
+    assert code == 0 and json.loads(out)["T"] == 2.0
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("a malformed list must be refused before any work")
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
+from scipy.integrate import quad
 
 from bjjctrl import (
     JunctionParams,
@@ -21,12 +22,13 @@ from bjjctrl import (
     symmetric_preparation,
 )
 from bjjctrl import shortcuts
-from bjjctrl.dynamics import SQRT2
+from bjjctrl.dynamics import SQRT2, ControlSchedule
 from bjjctrl.shortcuts import (
     _LHS_CHUNK,
     PiecewisePoly,
     ReferenceProfile,
     _controls_on,
+    duration_grid,
     simpson_pieces,
     simpson_uniform,
 )
@@ -337,11 +339,21 @@ def test_duration_lhs_at_reference_roots(original_profile, fast_profile):
     assert duration_lhs(fast_profile, 15.665) == pytest.approx(math.pi, abs=2e-3)
 
 
-def test_duration_lhs_grid_doubling(fast_profile, original_profile):
-    for p in (fast_profile, original_profile):
-        a = duration_lhs(p, 15.665, points_per_unit=4000)
-        b = duration_lhs(p, 15.665, points_per_unit=8000)
-        assert abs(a - b) <= 1e-9
+@pytest.mark.parametrize("name, duration", [("fast_profile", 15.665), ("original_profile", 77.724)])
+def test_duration_lhs_matches_quad_per_piece(request, name, duration):
+    """Adaptive quadrature on each breakpoint piece, an integrator
+    independent of the Simpson nodes, agrees near each profile's root."""
+    p = request.getfixturevalue(name)
+
+    def integrand(s):
+        phi, e0 = p.angle(s), p.gap(s)
+        dphi = p.angle(s, 1) / duration
+        return 0.5 * (e0 * np.cos(phi) + np.sqrt((e0 * np.sin(phi)) ** 2 + dphi**2) - e0)
+
+    edges = p.breakpoints
+    pieces = (quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+              for lo, hi in zip(edges[:-1], edges[1:]))
+    assert abs(duration_lhs(p, duration) - duration * sum(pieces)) <= 1e-9
 
 
 def test_duration_lhs_linear_growth(original_profile, fast_profile):
@@ -453,6 +465,46 @@ def test_solve_duration_rejects_nonfinite_scan(fast_profile, scan):
         solve_duration(fast_profile, scan=scan)
 
 
+@st.composite
+def grid_bounds(draw):
+    start = draw(st.floats(-1e3, 1e3))
+    stop = start + draw(st.floats(0.0, 100.0))
+    return start, stop, draw(st.floats(1e-3, 100.0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(grid_bounds())
+def test_duration_grid_is_every_step_up_to_stop(bounds):
+    start, stop, step = bounds
+    grid = duration_grid(start, stop, step)
+    n = grid.size - 1
+    assert grid[0] == start
+    assert np.all(np.diff(grid) > 0.0)
+    assert grid[-1] <= stop < start + (n + 1) * step
+    assert grid.tolist() == [start + k * step for k in range(n + 1)]
+
+
+def test_duration_grid_keeps_a_stop_it_lands_on_and_a_full_cap():
+    assert duration_grid(1.0, 2.0, 0.6).tolist() == [1.0, 1.6]
+    assert duration_grid(1.0, 7.0, 0.1)[-1] == 7.0
+    assert duration_grid(2.0, 2.0, 1.0).tolist() == [2.0]
+    cap = shortcuts.MAX_SCAN_POINTS
+    assert duration_grid(0.5, 0.5 * cap, 0.5).size == cap
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ((3.0, 2.0, 1.0), "scan stop 2.0 is below its start 3.0"),
+    # 1 + 1.5e-16 rounds up to the next float, so the step leaves 1.0, but
+    # start + k * step repeats values further on
+    ((1.0, 1.0 + 1e-11, 1.5e-16), "scan step 1.5e-16 does not advance past T = 1.0000000000000"),
+    # one point past the cap
+    ((0.5, 0.5 + 0.5 * shortcuts.MAX_SCAN_POINTS, 0.5), "gives more than 1000000 points"),
+])
+def test_duration_grid_refuses(bounds, message):
+    with pytest.raises(ValueError, match=message):
+        duration_grid(*bounds)
+
+
 def test_estimate_identity():
     est = estimate_min_duration()
     assert est == pytest.approx(15.169, abs=1e-3)
@@ -527,6 +579,23 @@ def test_zeta_matches_product_phase(fast_run):
 def test_phases_validates_schedule(fast_profile, fast_run):
     with pytest.raises(ValueError):
         phases(fast_profile, fast_run.duration + 1.0, fast_run.schedule)
+
+
+@pytest.mark.parametrize("duration, offset, accepted", [
+    # the tolerance is 1e-9 relative above T = 1 ...
+    (15.66, 5e-10 * 15.66, True),
+    (15.66, 2e-9 * 15.66, False),
+    # ... and 1e-9 absolute below it
+    (0.5, 0.7e-9, True),
+    (0.5, 1.2e-9, False),
+])
+def test_phases_schedule_duration_tolerance(fast_profile, duration, offset, accepted):
+    schedule = ControlSchedule.constant(0.0, 0.0, duration + offset)
+    if accepted:
+        phases(fast_profile, duration, schedule)
+    else:
+        with pytest.raises(ValueError, match="schedule duration does not match T"):
+            phases(fast_profile, duration, schedule)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Control synthesis toolkit for entanglement generation in weakly pumped
 bosonic Josephson junctions: truncated two-mode dynamics, concurrence and
 entropy metrics, counterdiabatic shortcut construction with its duration
-solver, bounded-control time-optimal synthesis, and an effective loss
-model."""
+solver, and bounded-control time-optimal synthesis; losses enter as the
+complex frequency shift omega -> omega - i*kappa/2."""
 
 from .dynamics import (
     ControlSchedule,
@@ -43,6 +43,5 @@ from .optimal_control import (
     shortcut_seed,
     sweep,
 )
-from .dissipation import dissipative_trace
 
 __version__ = "0.1.0"

@@ -106,9 +106,8 @@ class TruncatedState:
 class InitialPreparation:
     """Product of two coherent states |alpha1>|alpha2> feeding the junction.
 
-    ``alpha`` is the total pump amplitude sqrt(|alpha1|^2 + |alpha2|^2).
-    alpha^2 may not exceed ``MAX_ALPHA_SQ``, below which the truncation to
-    two quanta holds.
+    The total pump ``alpha_sq`` = |alpha1|^2 + |alpha2|^2 may not exceed
+    ``MAX_ALPHA_SQ``, below which the truncation to two quanta holds.
     """
 
     alpha1: complex
@@ -128,10 +127,6 @@ class InitialPreparation:
     def alpha_sq(self) -> float:
         return abs(self.alpha1) ** 2 + abs(self.alpha2) ** 2
 
-    @property
-    def alpha(self) -> float:
-        return math.sqrt(self.alpha_sq)
-
 
 def symmetric_preparation(alpha: float) -> InitialPreparation:
     """In-phase, real, even split alpha1 = alpha2 = alpha/sqrt(2)."""
@@ -139,7 +134,9 @@ def symmetric_preparation(alpha: float) -> InitialPreparation:
     return InitialPreparation(half, half)
 
 
-@dataclass(frozen=True)
+# Classes holding arrays compare by identity: a field-wise == of arrays is
+# ambiguous.
+@dataclass(frozen=True, eq=False)
 class ControlSchedule:
     """Sampled controls (t, U, J) on [0, T]; values between samples are
     linearly interpolated."""
@@ -179,7 +176,7 @@ class ControlSchedule:
         return cls(np.array([0.0, duration]), np.array([u, u]), np.array([j, j]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlVector:
     """Piecewise-constant controls (U, J) on N equal segments of [0, T]."""
 
@@ -217,7 +214,7 @@ class ControlVector:
         return self.u[k], self.j[k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """States sampled on a uniform time grid, endpoints included."""
 

@@ -64,7 +64,8 @@ _MAX_STEP = 1e3
 
 _log = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
+# array fields: compared by identity, as a field-wise == of arrays is ambiguous
+@dataclass(frozen=True, eq=False)
 class OptimizationResult:
     best: ControlVector
     objective: float
@@ -74,7 +75,7 @@ class OptimizationResult:
     stop: str  # the winning start's stop reason, as ``_ascend`` gives it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepCurve:
     durations: np.ndarray
     objectives: np.ndarray

@@ -30,7 +30,8 @@ the inverse of that peak.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -141,12 +142,27 @@ class ReferenceProfile:
     kind: str
     angle: PiecewisePoly
     gap: PiecewisePoly
-    # the phase node table, filled by the first _node_table call
-    _phase_nodes: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.angle.edges) | set(self.gap.edges)))
+
+    @cached_property
+    def nodes(self) -> list:
+        """Per Simpson piece: (E0 cos phi, (E0 sin phi)^2, E0, phi', node
+        spacing).
+
+        None of these depends on T, so each profile tabulates them once, and
+        the phase condition and both transfer phases reuse them for every T.
+        The table lives and dies with the profile object (the CLI builds a
+        new one per command).
+        """
+        rows = []
+        for s, dx in simpson_pieces(self.breakpoints):
+            phi = self.angle(s)
+            e0 = self.gap(s)
+            rows.append((e0 * np.cos(phi), (e0 * np.sin(phi)) ** 2, e0, self.angle(s, 1), dx))
+        return rows
 
 
 @dataclass(frozen=True)
@@ -278,25 +294,6 @@ def simpson_pieces(edges):
         yield np.linspace(lo, hi, n + 1), width / n
 
 
-def _node_table(profile: ReferenceProfile) -> list:
-    """Per Simpson piece: (E0 cos phi, (E0 sin phi)^2, E0, phi', node spacing).
-
-    None of these depends on T, so each profile tabulates them once, and
-    the phase condition and both transfer phases reuse them for every T.
-    The table lives and dies with the profile object (the CLI builds a new
-    one per command).
-    """
-    table = profile._phase_nodes
-    if not table:
-        rows = []  # kept only once whole
-        for s, dx in simpson_pieces(profile.breakpoints):
-            phi = profile.angle(s)
-            e0 = profile.gap(s)
-            rows.append((e0 * np.cos(phi), (e0 * np.sin(phi)) ** 2, e0, profile.angle(s, 1), dx))
-        table.extend(rows)
-    return table
-
-
 def _lhs_block(table: list, durations: np.ndarray) -> np.ndarray:
     """LHS for a 1-d block of durations, as one (T x s) array per piece."""
     per_t = durations[:, None]
@@ -328,7 +325,7 @@ def duration_lhs(profile: ReferenceProfile, duration) -> float | np.ndarray:
     bad = ~(np.isfinite(durations) & (durations > 0.0))
     if bad.any():
         raise ValueError(f"duration must be finite and positive, got {float(durations[bad][0])!r}")
-    table = _node_table(profile)
+    table = profile.nodes
     flat = durations.ravel()
     lhs = np.empty_like(flat)
     for i in range(0, flat.size, _LHS_CHUNK):
@@ -396,7 +393,7 @@ def phases(
     if schedule is not None and abs(schedule.duration - duration) > 1e-9 * max(1.0, duration):
         raise ValueError("schedule duration does not match T")
     theta = zeta = 0.0
-    for e0_cos, e0_sin_sq, e0, rate, dx in _node_table(profile):
+    for e0_cos, e0_sin_sq, e0, rate, dx in profile.nodes:
         theta += simpson_uniform(0.5 * (e0 - e0_cos), dx)
         zeta += simpson_uniform(np.sqrt(e0_sin_sq + (rate / duration) ** 2) / 4.0, dx)
     return TransferPhases(float(duration * theta), float(2.0 * duration * zeta))

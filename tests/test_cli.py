@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bjjctrl
 from bjjctrl import cli, optimal_control, shortcuts
 from bjjctrl.dynamics import ControlSchedule, ControlVector, Trajectory
 from bjjctrl.optimal_control import OptimizationResult
@@ -296,6 +298,27 @@ def test_simulate_runaway_fails_with_one_line(tmp_path):
     code, out, err = run_cli("simulate", "--schedule", str(sched_file), "--steps", "50")
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and "non-finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("shortcut", "--profile", "fast", "--T", "10", "--steps", "10"),
+    ("simulate", "--schedule", "flat.csv", "--steps", "10"),
+    ("optimize", "--T", "2", "--segments", "4", "--seeds", "1"),
+])
+def test_negative_loss_rate_is_a_configuration_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flat.csv").write_text("t,u,j\n0,0,0\n1,0,0\n")
+    code, out, err = main_in_process(capsys, *argv, "--kappa", "-0.1")
+    assert (code, out) == (2, "")
+    assert err == "configuration error: loss rate kappa must be >= 0\n"
+
+
+def test_non_finite_frequency_is_a_configuration_error(capsys):
+    code, out, err = main_in_process(
+        capsys, "shortcut", "--profile", "fast", "--T", "10", "--steps", "10", "--omega", "nan"
+    )
+    assert (code, out) == (2, "")
+    assert err == "configuration error: junction parameters must be finite\n"
 
 
 def test_shortcut_trace_reads_back_as_its_schedule(tmp_path, monkeypatch, capsys):
@@ -758,6 +781,47 @@ def test_subcommand_flags():
     for name, sub in subparsers.items():
         flags = {s for action in sub._actions for s in action.option_strings}
         assert flags == FLAGS[name] | COMMON_FLAGS, name
+
+
+#: Exported functions no command runs, and why they stay.
+UNREACHED_EXPORTS = {
+    "estimate_min_duration": "the speed estimate 2 pi/(sqrt(2) - 1), criterion 2's reference",
+    "objective_gradient": "the gradient API that the benchmark times",
+}
+
+
+def test_every_exported_function_is_run_by_a_command(tmp_path, monkeypatch, capsys):
+    """One tiny run of each command, in process, reaches every function
+    ``bjjctrl`` exports but those of ``UNREACHED_EXPORTS``."""
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        ("duration", "--profile", "original"),
+        ("shortcut", "--profile", "fast", "--steps", "20", "--samples", "21", "--out", "s.csv"),
+        ("optimize", "--T", "2", "--segments", "4", "--seeds", "1", "--out", "c.csv"),
+        ("simulate", "--schedule", "c.csv", "--steps", "20"),
+        ("mintime", "--segments", "4", "--seeds", "1", "--epsilon", "0.05", "--max-iter", "50"),
+        ("sweep", "--T", "1:2:0.5", "--kappa", "0,0.05", "--segments", "4", "--seeds", "1",
+         "--max-iter", "50"),
+        ("entangle", "--state", "1,0,0,0,0,0"),
+    ]
+    reached = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    for argv in runs:
+        sys.setprofile(record)
+        try:
+            code, _, err = main_in_process(capsys, *argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0, (argv, err)
+    unreached = {
+        name for name, value in vars(bjjctrl).items()
+        if inspect.isfunction(value) and value.__code__ not in reached
+    }
+    assert unreached == set(UNREACHED_EXPORTS)
 
 
 @pytest.mark.parametrize("argv, config_hash", [

@@ -1,3 +1,6 @@
+"""The loss model on the path ``shortcut --kappa`` runs: propagate under
+``JunctionParams(0.0, kappa)``, then ``dominant_trace``."""
+
 import math
 
 import numpy as np
@@ -6,12 +9,21 @@ import pytest
 from bjjctrl import (
     ControlVector,
     JunctionParams,
-    dissipative_trace,
+    dominant_trace,
     initial_state,
     propagate,
     symmetric_preparation,
 )
 from bjjctrl.dynamics import effective_frequency
+
+
+def loss_traces(run, kappa, steps):
+    """Times and the dominant concurrence along ``run``'s schedule, lossless
+    and at loss rate ``kappa``."""
+    state0 = initial_state(run.prep)
+    lossless = propagate(state0, run.schedule, JunctionParams(0.0, 0.0), steps)
+    lossy = propagate(state0, run.schedule, JunctionParams(0.0, kappa), steps)
+    return lossless.times, dominant_trace(lossless.amplitudes), dominant_trace(lossy.amplitudes)
 
 
 def test_effective_params_identity_without_loss():
@@ -38,21 +50,21 @@ def test_one_quantum_amplitudes_decay_at_half_rate():
 
 
 def test_lossless_trace_is_identical(fast_run):
-    trace = dissipative_trace(fast_run.schedule, 0.0, fast_run.prep, steps=2000)
-    assert np.array_equal(trace.concurrence_lossless, trace.concurrence_lossy)
-    assert trace.peak_time == pytest.approx(fast_run.duration, abs=0.05)
+    times, lossless, lossy = loss_traces(fast_run, 0.0, steps=2000)
+    assert np.array_equal(lossless, lossy)
+    assert times[np.argmax(lossy)] == pytest.approx(fast_run.duration, abs=0.05)
 
 
 @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.1])
 def test_concurrence_factorises_exactly(fast_run, kappa):
-    trace = dissipative_trace(fast_run.schedule, kappa, fast_run.prep, steps=10_000)
-    assert np.max(np.abs(trace.concurrence_lossy - trace.analytic_lossy)) <= 1e-8
+    times, lossless, lossy = loss_traces(fast_run, kappa, steps=10_000)
+    assert np.max(np.abs(lossy - lossless * np.exp(-kappa * times))) <= 1e-8
 
 
 @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.1])
 def test_factorisation_on_slow_shortcut(original_run, kappa):
-    trace = dissipative_trace(original_run.schedule, kappa, original_run.prep, steps=10_000)
-    assert np.max(np.abs(trace.concurrence_lossy - trace.analytic_lossy)) <= 1e-8
+    times, lossless, lossy = loss_traces(original_run, kappa, steps=10_000)
+    assert np.max(np.abs(lossy - lossless * np.exp(-kappa * times))) <= 1e-8
 
 
 def test_component_decay_rates(fast_run):
@@ -71,23 +83,31 @@ def test_component_decay_rates(fast_run):
 
 
 def test_peak_shifts_earlier_with_loss(fast_run):
-    peaks = [
-        dissipative_trace(fast_run.schedule, kappa, fast_run.prep, steps=4000).peak_time
-        for kappa in (0.0, 0.01, 0.05, 0.1)
-    ]
+    peaks = []
+    for kappa in (0.0, 0.01, 0.05, 0.1):
+        times, _, lossy = loss_traces(fast_run, kappa, steps=4000)
+        peaks.append(times[np.argmax(lossy)])
     assert all(b <= a + 1e-12 for a, b in zip(peaks, peaks[1:]))
     assert peaks[-1] < peaks[0]
 
 
 def test_final_reduction_factor(fast_run):
     kappa = 0.1
-    trace = dissipative_trace(fast_run.schedule, kappa, fast_run.prep, steps=4000)
-    ratio = trace.concurrence_lossy[-1] / trace.concurrence_lossless[-1]
+    _, lossless, lossy = loss_traces(fast_run, kappa, steps=4000)
+    ratio = lossy[-1] / lossless[-1]
     assert ratio == pytest.approx(math.exp(-kappa * fast_run.duration), abs=1e-9)
     # at the headline duration this is e^{-1.5665}
     assert ratio == pytest.approx(math.exp(-1.5665), abs=1e-4)
 
 
-def test_negative_rate_rejected(fast_run):
-    with pytest.raises(ValueError):
-        dissipative_trace(fast_run.schedule, -0.1, fast_run.prep, steps=100)
+def test_negative_rate_rejected():
+    with pytest.raises(ValueError, match="loss rate kappa must be >= 0"):
+        JunctionParams(0.0, -0.1)
+
+
+@pytest.mark.parametrize("omega, kappa", [
+    (math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, math.inf),
+])
+def test_non_finite_junction_parameters_rejected(omega, kappa):
+    with pytest.raises(ValueError, match="junction parameters must be finite"):
+        JunctionParams(omega, kappa)

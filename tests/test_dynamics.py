@@ -14,6 +14,8 @@ from bjjctrl import (
     ControlVector,
     InitialPreparation,
     JunctionParams,
+    OptimizationResult,
+    SweepCurve,
     TruncatedState,
     dominant_trace,
     initial_state,
@@ -490,3 +492,28 @@ def test_schedule_rejects_bad_grids():
         ControlSchedule(np.array([0.5, 1.0]), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         ControlSchedule(np.array([0.0, 1.0]), np.array([0.0, np.inf]), np.zeros(2))
+
+
+_PAIR = np.array([0.1, 0.2])
+ARRAY_HOLDERS = {
+    "ControlSchedule": lambda: ControlSchedule(np.array([0.0, 1.0]), _PAIR, _PAIR),
+    "ControlVector": lambda: ControlVector(_PAIR, _PAIR, 1.0),
+    "Trajectory": lambda: propagate(
+        initial_state(symmetric_preparation(0.1)), ControlVector(_PAIR, _PAIR, 1.0),
+        JunctionParams(), steps=2,
+    ),
+    "OptimizationResult": lambda: OptimizationResult(
+        ControlVector(_PAIR, _PAIR, 1.0), 1.0, 3, True, 0, "pg"
+    ),
+    "SweepCurve": lambda: SweepCurve(np.array([1.0, 2.0]), _PAIR, 0.0),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS)
+def test_array_holding_classes_compare_by_identity(make):
+    """Equal-valued instances holding several samples or segments stay
+    distinct: ==, ``in`` and hashing follow identity."""
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b, a}) == 2

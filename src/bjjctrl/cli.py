@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -341,43 +342,44 @@ _SEGMENTS = ("segment", "t_start", "u", "j")
 
 
 def _load_schedule(path) -> ControlSchedule | ControlVector:
-    """The schedule of a CSV, parsed into one list per column as the file
-    is read.  Blank and ``#`` lines are skipped, but for the last
-    ``# config=`` line; the first other line is the header."""
-    layout = config = None
+    """The schedule of a CSV, parsed by numpy's reader as the file is read.
+    Blank and ``#`` lines are skipped anywhere, but for the last
+    ``# config=`` line; the first other line is the header, and the rest
+    are data rows, in which ``#`` text is an error."""
+    config = None
+
+    def lines(f):
+        nonlocal config
+        for line in map(str.strip, f):
+            if line.startswith("# config="):
+                config = line[len("# config="):]
+            if line and not line.startswith("#"):
+                yield line
+
     try:
         with open(path) as f:
-            for line in map(str.strip, f):
-                if line.startswith("# config="):
-                    config = line[len("# config="):]
-                if not line or line.startswith("#"):
-                    continue
-                if layout is None:
-                    fields = line.split(",")
-                    layout = next(
-                        (h for h in (_SAMPLED, _SEGMENTS) if tuple(fields[:len(h)]) == h), None
-                    )
-                    if layout is None:
-                        raise ConfigError(f"want a t,u,j or segment,t_start,u,j header: {line!r}")
-                    columns = [[] for _ in layout]
-                    appends = [column.append for column in columns]
-                    continue
-                fields = line.split(",", len(layout))  # columns past the layout stay unsplit
-                if len(fields) < len(layout):
-                    raise ConfigError(f"schedule rows need {','.join(layout)} columns: {line!r}")
-                try:
-                    for append, field in zip(appends, fields):
-                        append(float(field))
-                except ValueError:
-                    raise ConfigError(f"non-numeric schedule row: {line!r}")
+            rows = lines(f)
+            header = next(rows, "")
+            fields = tuple(header.split(","))
+            layout = next((h for h in (_SAMPLED, _SEGMENTS) if fields[:len(h)] == h), None)
+            if layout is None and header:
+                raise ConfigError(f"want a t,u,j or segment,t_start,u,j header: {header!r}")
+            first = next(rows, None)  # np.loadtxt warns on a file without rows
+            if first is None:
+                raise ConfigError("schedule file holds no samples")
+            try:
+                table = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None,
+                                   usecols=range(len(layout)), ndmin=2)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"non-numeric schedule row (rows need numeric {','.join(layout)} columns): {exc}"
+                )
     except OSError as exc:
         raise ConfigError(f"cannot read schedule: {exc}")
-    if layout is None or not columns[0]:
-        raise ConfigError("schedule file holds no samples")
     try:
         if layout is _SAMPLED:
-            return ControlSchedule(*map(np.array, columns))
-        return _segment_schedule(*columns, config)
+            return ControlSchedule(*table.T)
+        return _segment_schedule(*table.T, config)
     except ValueError as exc:
         raise ConfigError(f"invalid schedule: {exc}")
 
@@ -392,9 +394,10 @@ def _segment_schedule(segment, t_start, u, j, config) -> ControlVector:
     if type(duration) not in (int, float):
         raise ConfigError("a segment schedule needs the duration t on its '# config=' line")
     dt = duration / len(u)
-    if segment != list(range(len(u))) or any(t != k * dt for k, t in enumerate(t_start)):
+    k = np.arange(len(u))
+    if not (np.array_equal(segment, k) and np.array_equal(t_start, k * dt)):
         raise ConfigError(f"segments must be numbered 0..N-1 and start on the grid k * {dt!r}")
-    return ControlVector(np.array(u), np.array(j), duration)
+    return ControlVector(u, j, duration)
 
 
 def cmd_simulate(options) -> int:

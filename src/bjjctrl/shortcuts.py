@@ -340,8 +340,9 @@ def solve_duration(
     """Smallest duration satisfying the phase-difference condition.
 
     Scans the LHS - pi sign along ``duration_grid(*scan)`` for its first
-    crossing, then bisects 60 times.  The LHS grows linearly for large T,
-    so a single crossing exists for sensible profiles.  The scan evaluates
+    crossing, then bisects it until its ends are adjacent floats, at most
+    60 times.  The LHS grows linearly for large T, so a single crossing
+    exists for sensible profiles.  The scan evaluates
     its points in blocks of a few durations per ``duration_lhs`` call and
     stops after the first block that holds a crossing; the profile's node
     table is built by the first call and reused by every scan block and
@@ -362,6 +363,8 @@ def solve_duration(
         raise RuntimeError(f"no phase-condition crossing for T in [{scan[0]}, {scan[1]}]")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         f_mid = duration_lhs(profile, mid) - math.pi
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid

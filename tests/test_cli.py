@@ -292,6 +292,67 @@ def test_simulate_rejects_non_numeric_row(tmp_path, capsys, text, needle):
     assert err.startswith("configuration error") and needle in err and out == ""
 
 
+@pytest.mark.parametrize("text", ["t,u,j\n", SEGMENTS.split("0,0.0", 1)[0]], ids=["sampled", "segments"])
+def test_header_only_schedule_holds_no_samples(tmp_path, capsys, text):
+    sched_file = tmp_path / "empty.csv"
+    sched_file.write_text(text)
+    code, out, err = main_in_process(capsys, "simulate", "--schedule", str(sched_file))
+    assert (code, out) == (2, "")
+    assert err == "configuration error: schedule file holds no samples\n"
+
+
+def test_schedule_row_with_comment_text_is_non_numeric(tmp_path, capsys):
+    sched_file = tmp_path / "noted.csv"
+    sched_file.write_text("t,u,j\n0,0.5,0.1\n1,0.5,0.1 # note\n")
+    code, out, err = main_in_process(capsys, "simulate", "--schedule", str(sched_file))
+    assert (code, out) == (2, "")
+    assert "non-numeric schedule row" in err and "# note" in err
+
+
+def test_config_line_after_segment_header_is_honoured(tmp_path):
+    config, rest = SEGMENTS.split("\n", 1)
+    header, rows = rest.split("\n", 1)
+    sched_file = tmp_path / "late_config.csv"
+    sched_file.write_text(f"{header}\n{config}\n{rows}")
+    loaded = cli._load_schedule(sched_file)
+    assert type(loaded) is ControlVector and loaded.duration == 2.0
+    assert loaded.u.tolist() == [0.5] * 4
+
+
+def test_blank_lines_between_rows_are_skipped(tmp_path):
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text("t,u,j\n0,0.5,0.1\n1,0.25,0.2\n")
+    spaced.write_text("\n  \nt,u,j\n0,0.5,0.1\n \t \n\n1,0.25,0.2\n   \n")
+    a, b = cli._load_schedule(plain), cli._load_schedule(spaced)
+    for column in ("times", "u", "j"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
+
+
+@st.composite
+def sampled_controls(draw):
+    """Strictly increasing times from 0 and finite u, j, subnormal and
+    huge values included."""
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    times = [0.0, *sorted(draw(st.sets(positive, min_size=0, max_size=60)))]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    u, j = (draw(st.lists(finite, min_size=len(times), max_size=len(times))) for _ in "uj")
+    return times, u, j
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(sampled_controls())
+def test_sampled_schedule_replays_bit_equal_property(columns):
+    """Rows written as ``_write_csv`` writes them load back as the same
+    times, u and j."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "schedule.csv")
+        cli._write_csv(path, "shortcut", {}, ["t", "u", "j"], zip(*columns))
+        loaded = cli._load_schedule(path)
+    assert type(loaded) is ControlSchedule
+    for got, want in zip((loaded.times, loaded.u, loaded.j), columns):
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_simulate_runaway_fails_with_one_line(tmp_path):
     sched_file = tmp_path / "runaway.csv"
     sched_file.write_text("t,u,j\n0,0,1e6\n1,0,1e6\n")

@@ -427,6 +427,27 @@ def test_solved_durations_reference_values(original_run, fast_run):
     assert fast_run.duration == pytest.approx(15.664959606237385, rel=0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scan", [(0.5, 300.0, 0.5), (0.3, 300.0, 0.7)])
+@pytest.mark.parametrize("name", ["fast_profile", "original_profile"])
+def test_solve_duration_evaluates_no_duration_twice(request, monkeypatch, name, scan):
+    """The bisection stops once its bracket's ends are adjacent floats,
+    so it never evaluates the LHS at an end again."""
+    profile = request.getfixturevalue(name)
+    seen, halvings = [], 0
+
+    def recorded(prof, durations):
+        nonlocal halvings
+        halvings += np.ndim(durations) == 0
+        seen.extend(np.ravel(durations).tolist())
+        return duration_lhs(prof, durations)
+
+    monkeypatch.setattr(shortcuts, "duration_lhs", recorded)
+    root = solve_duration(profile, scan=scan)
+    assert len(set(seen)) == len(seen)
+    assert 0 < halvings <= 60
+    assert root in (15.664959606237385, 77.7230026535778)
+
+
 def test_flat_profile_duration_equals_estimate():
     # constant angle pi/4 at full gap: the LHS is exactly T (sqrt(2)-1)/2
     t = solve_duration(flat_profile())

@@ -63,14 +63,17 @@ class ConfigError(ValueError):
 # option handling
 
 def _positive_float(text):
-    """Converter for alpha, which normalises the concurrence: zero, negative
-    and NaN amplitudes are refused."""
+    """Converter for alpha, which normalises the concurrence as C/alpha^2:
+    zero, negative and NaN amplitudes are refused, and so is one whose
+    square is below the normal floats (the ratio would lose bits or be NaN)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if value * value < sys.float_info.min:
+        raise argparse.ArgumentTypeError(f"its square underflows, got {text!r}")
     return value
 
 

@@ -150,10 +150,13 @@ class ReferenceProfile:
     @cached_property
     def nodes(self) -> list:
         """Per Simpson piece: (E0 cos phi, (E0 sin phi)^2, E0, phi', node
-        spacing).
+        spacing, flat).
 
         None of these depends on T, so each profile tabulates them once, and
         the phase condition and both transfer phases reuse them for every T.
+        Where every phi' is 0, (phi'/T)^2 is exactly 0 for any T > 0, so the
+        piece's phase-condition integral has the same bits at every T:
+        ``flat`` holds it, taken once, and is None on the other pieces.
         The table lives and dies with the profile object (the CLI builds a
         new one per command).
         """
@@ -161,7 +164,10 @@ class ReferenceProfile:
         for s, dx in simpson_pieces(self.breakpoints):
             phi = self.angle(s)
             e0 = self.gap(s)
-            rows.append((e0 * np.cos(phi), (e0 * np.sin(phi)) ** 2, e0, self.angle(s, 1), dx))
+            rate = self.angle(s, 1)
+            row = (e0 * np.cos(phi), (e0 * np.sin(phi)) ** 2, e0, rate, dx)
+            flat = None if rate.any() else float(_lhs_block([row + (None,)], np.ones(1))[0])
+            rows.append(row + (flat,))
         return rows
 
 
@@ -224,22 +230,24 @@ def profile_fast(s0: float = 0.9, s1: float = 0.2, s2: float = 0.8) -> Reference
 
 
 def _controls_on(profile: ReferenceProfile, duration: float, s: np.ndarray):
-    """(U_I, J_I) sampled at scaled times s for a transfer of length T."""
+    """(U_I, J_I) sampled at scaled times s for a transfer of length T; a T
+    that overflows them gives non-finite controls, for the schedule types to refuse."""
     phi = profile.angle(s)
-    dphi = profile.angle(s, 1) / duration
-    d2phi = profile.angle(s, 2) / duration**2
     e0 = profile.gap(s)
-    de0 = profile.gap(s, 1) / duration
     sin = np.sin(phi)
     cos = np.cos(phi)
-    den = (e0 * sin) ** 2 + dphi**2
-    num = e0**3 * sin**2 * cos + de0 * dphi * sin + e0 * (2.0 * dphi**2 * cos - d2phi * sin)
-    u = np.zeros_like(den)
-    ok = den > 1e-24
-    # Where gap and angle rate vanish together (t = T) the boundary
-    # conditions force the numerator to higher order; extend by 0.
-    u[ok] = num[ok] / (2.0 * den[ok])
-    j = np.sqrt(den) / 4.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dphi = profile.angle(s, 1) / duration
+        d2phi = profile.angle(s, 2) / duration**2
+        de0 = profile.gap(s, 1) / duration
+        den = (e0 * sin) ** 2 + dphi**2
+        num = e0**3 * sin**2 * cos + de0 * dphi * sin + e0 * (2.0 * dphi**2 * cos - d2phi * sin)
+        u = np.zeros_like(den)
+        ok = den > 1e-24
+        # Where gap and angle rate vanish together (t = T) the boundary
+        # conditions force the numerator to higher order; extend by 0.
+        u[ok] = num[ok] / (2.0 * den[ok])
+        j = np.sqrt(den) / 4.0
     return u, j
 
 
@@ -295,10 +303,13 @@ def simpson_pieces(edges):
 
 
 def _lhs_block(table: list, durations: np.ndarray) -> np.ndarray:
-    """LHS for a 1-d block of durations, as one (T x s) array per piece."""
+    """LHS for a 1-d block of durations, as one (T x s) array per non-flat piece."""
     per_t = durations[:, None]
     total = 0.0
-    for e0_cos, e0_sin_sq, e0, rate, dx in table:
+    for e0_cos, e0_sin_sq, e0, rate, dx, flat in table:
+        if flat is not None:
+            total += flat
+            continue
         val = 0.5 * (e0_cos + np.sqrt(e0_sin_sq + (rate / per_t) ** 2) - e0)
         if not np.all(np.isfinite(val)):
             raise FloatingPointError("non-finite phase-condition integrand")
@@ -396,7 +407,7 @@ def phases(
     if schedule is not None and abs(schedule.duration - duration) > 1e-9 * max(1.0, duration):
         raise ValueError("schedule duration does not match T")
     theta = zeta = 0.0
-    for e0_cos, e0_sin_sq, e0, rate, dx in profile.nodes:
+    for e0_cos, e0_sin_sq, e0, rate, dx, _ in profile.nodes:
         theta += simpson_uniform(0.5 * (e0 - e0_cos), dx)
         zeta += simpson_uniform(np.sqrt(e0_sin_sq + (rate / duration) ** 2) / 4.0, dx)
     return TransferPhases(float(duration * theta), float(2.0 * duration * zeta))

@@ -759,19 +759,95 @@ def test_config_null_leaves_option_unset(tmp_path, capsys):
     assert json.loads(out)["config_hash"] == json.loads(plain)["config_hash"]
 
 
-@pytest.mark.parametrize("argv", [
+#: Each command that takes --alpha, with its required options.
+ALPHA_ARGVS = [
     ("shortcut", "--profile", "fast"),
     ("simulate", "--schedule", "x.csv"),
     ("optimize", "--T", "3"),
     ("mintime",),
     ("sweep",),
     ("entangle", "--state", "1,0,0,0,0,0"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", ALPHA_ARGVS)
 @pytest.mark.parametrize("alpha", ["0", "-0.1", "nan"])
 def test_alpha_must_be_positive(capsys, argv, alpha):
     code, out, err = main_in_process(capsys, *argv, "--alpha", alpha)
     assert code == 2 and out == ""
     assert "alpha" in err
+
+
+#: The largest alpha whose square is not a normal float.
+_ALPHA_SUBNORMAL = math.nextafter(math.sqrt(sys.float_info.min), 0.0)
+
+
+@pytest.mark.parametrize("argv", ALPHA_ARGVS)
+@pytest.mark.parametrize("alpha", ["1e-170", "1e-160", repr(_ALPHA_SUBNORMAL)])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_alpha_whose_square_is_not_normal_is_refused(tmp_path, capsys, argv, alpha, via):
+    """C/alpha^2 would lose bits (alpha^2 subnormal) or be 0/0; the flag's
+    refusal is argparse's usage block and one error line, the config
+    file's one line."""
+    if via == "flag":
+        extra = ("--alpha", alpha)
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alpha": float(alpha)}))
+        extra = ("--config", str(cfg))
+    code, out, err = main_in_process(capsys, *argv, *extra)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert "Warning" not in err and f"square underflows, got {alpha!r}" in lines[-1]
+    if via == "config":
+        assert len(lines) == 1
+    else:
+        assert lines[0].startswith("usage:")
+
+
+def test_alpha_whose_square_is_normal_keeps_the_ratio(capsys):
+    """C/alpha^2 does not depend on alpha: the smallest accepted alpha gives
+    the bits of the default."""
+    smallest = math.nextafter(_ALPHA_SUBNORMAL, 1.0)
+    argv = ("shortcut", "--profile", "fast", "--steps", "50", "--samples", "11", "--alpha")
+    ratios = []
+    for alpha in (repr(smallest), "0.1"):
+        code, out, err = main_in_process(capsys, *argv, alpha)
+        assert code == 0 and err == ""
+        ratios.append(json.loads(out)["final_concurrence_norm"])
+    assert ratios[0] == ratios[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("shortcut", "--profile", "fast", "--T", "1e-300"), "schedule samples must be finite"),
+    (("optimize", "--T", "5e-324", "--segments", "4", "--seeds", "1", "--max-iter", "3"),
+     "controls must be finite"),
+])
+def test_tiny_duration_is_refused_without_warnings(capsys, argv, message):
+    """Rates of order 1/T overflow; the schedule types refuse the
+    non-finite controls, and nothing warns on the way."""
+    code, out, err = main_in_process(capsys, *argv)
+    assert (code, out, err) == (2, "", f"configuration error: {message}\n")
+
+
+PATH_WITHOUT_RNG = """
+import contextlib, io, sys
+from bjjctrl import cli
+runs = (["duration", "--profile", "fast"],
+        ["shortcut", "--profile", "fast", "--steps", "50", "--samples", "11", "--out", "trace.csv"],
+        ["simulate", "--schedule", "trace.csv", "--steps", "50"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+print(codes, "numpy.random" in sys.modules)
+"""
+
+
+def test_shortcut_path_never_imports_numpy_random(tmp_path):
+    """``numpy.random`` costs about 2.6 MB of resident memory; only the
+    optimiser's random starts need it, so the shortcut path stays without."""
+    proc = subprocess.run([sys.executable, "-c", PATH_WITHOUT_RNG], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=900, env=ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0] False\n", "")
 
 
 @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
@@ -27,6 +27,7 @@ from bjjctrl.shortcuts import (
     _LHS_CHUNK,
     PiecewisePoly,
     ReferenceProfile,
+    TransferPhases,
     _controls_on,
     duration_grid,
     simpson_pieces,
@@ -412,6 +413,58 @@ def test_duration_lhs_array_matches_per_duration_oracle(case):
     want = np.array([lhs_oracle(profile, t) for t in durations])
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
     assert duration_lhs(profile, durations[-1]) == got[-1]
+
+
+def unfolded(profile, durations):
+    """The phase-condition LHS and both transfer phases per duration, from
+    the arithmetic of ``_lhs_block`` and ``phases`` on every piece of the
+    node table: no piece's integral is taken from its ``flat`` field."""
+    per_t = np.asarray(durations, dtype=float)[:, None]
+    lhs = theta = zeta = 0.0
+    for e0_cos, e0_sin_sq, e0, rate, dx, _ in profile.nodes:
+        lhs += simpson_uniform(0.5 * (e0_cos + np.sqrt(e0_sin_sq + (rate / per_t) ** 2) - e0), dx)
+        theta += simpson_uniform(0.5 * (e0 - e0_cos), dx)
+        zeta += simpson_uniform(np.sqrt(e0_sin_sq + (rate / per_t) ** 2) / 4.0, dx)
+    t = per_t[:, 0]
+    return t * lhs, t * theta, 2.0 * t * zeta
+
+
+@st.composite
+def plateau_knots_and_durations(draw):
+    """Fast-profile knots with s0 before, inside or after the angle's
+    plateau [s1, s2] (inside: two flat pieces) or on one of its ends."""
+    s1 = draw(st.floats(0.05, 0.45))
+    s2 = draw(st.floats(s1 + 0.05, 0.95))
+    s0 = draw(st.one_of(
+        st.floats(0.05, 0.95),
+        st.floats(s1, s2, exclude_min=True, exclude_max=True),
+        st.sampled_from([s1, s2]),
+    ))
+    count = draw(st.sampled_from([1, _LHS_CHUNK, _LHS_CHUNK + 1]))
+    durations = draw(st.lists(st.floats(0.5, 2000.0), min_size=count, max_size=count))
+    return (s0, s1, s2), durations
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(plateau_knots_and_durations())
+@example(((0.5, 0.2, 0.8), [15.0]))
+@example(((0.2, 0.2, 0.8), [float(k) for k in range(1, _LHS_CHUNK + 1)]))
+@example(((0.8, 0.2, 0.8), [0.5 + 7.0 * k for k in range(_LHS_CHUNK + 1)]))
+def test_flat_pieces_are_folded_bit_for_bit(case):
+    """Where phi' = 0 on a whole piece, ``duration_lhs`` adds the piece's
+    integral taken once: every LHS keeps the bits of the unfolded sum, on
+    arrays and scalars alike, and ``phases`` never reads the fold."""
+    knots, durations = case
+    profile = profile_fast(*knots)
+    flat = [row[-1] for row in profile.nodes]
+    plateau = sum(knots[1] <= a and b <= knots[2] for a, b in
+                  zip(profile.breakpoints[:-1], profile.breakpoints[1:]))
+    assert sum(f is not None for f in flat) == plateau
+    lhs, theta, zeta = unfolded(profile, durations)
+    assert duration_lhs(profile, np.array(durations)).tolist() == lhs.tolist()
+    assert duration_lhs(profile, durations[-1]) == lhs[-1]
+    for t, th, ze in zip(durations, theta.tolist(), zeta.tolist()):
+        assert phases(profile, t) == TransferPhases(th, ze)
 
 
 def test_duration_lhs_rejects_non_finite_integrand():

@@ -298,11 +298,11 @@ def _run_trace(command, options, schedule, payload):
         u, j = schedule.controls_at(t)
         norm_complex = (amps[:, 3] - amps[:, 1] * amps[:, 2]) / alpha**2
         one, two = traj.manifold_populations()
-        res_one = np.abs(one - one[0] * np.exp(-kappa * t))
-        res_two = np.abs(two - two[0] * np.exp(-2.0 * kappa * t))
-        table = np.column_stack(
-            (t, u, j, norm_complex.real, norm_complex.imag, conc, res_one, res_two)
-        )
+        decay = np.exp(-kappa * t + 0j).real  # rounds alike at every SIMD level
+        table = np.column_stack((
+            t, u, j, norm_complex.real, norm_complex.imag, conc,
+            np.abs(one - one[0] * decay), np.abs(two - two[0] * decay * decay),
+        ))
         _write_csv(options["out"], command, options, _TRACE_HEADER, _array_rows(table))
     payload["final_concurrence_norm"] = float(conc[-1])
     payload["peak_concurrence_norm"] = float(conc.max())

@@ -43,13 +43,15 @@ AMPLITUDE_LABELS = ("c00", "c10", "c01", "c11", "c20", "c02")
 _ONE = [1, 2]
 _TWO = [4, 3, 5]
 
-#: Basis change of amplitude rows to (c00, P, M, c11, S, A), with P, M =
-#: (c10 +- c01)/s2 and S, A = (c20 +- c02)/s2: a symmetric orthogonal
-#: involution that leaves a 2x2 block on (S, c11) and scalar modes P, M, A.
-#: ``_Q_SYM`` is its two-quanta part, in the order of ``_TWO``.
-_FRAME = np.eye(6)
-_FRAME[1:3, 1:3] = _FRAME[4:, 4:] = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
-_Q_SYM = _FRAME[np.ix_(_TWO, _TWO)]
+#: Basis change of the two-quanta amplitudes, in the order of ``_TWO``, to
+#: (S, c11, A) with S, A = (c20 +- c02)/s2: a symmetric orthogonal
+#: involution that leaves a 2x2 block on (S, c11) and a scalar mode A.
+_Q_SYM = np.array([[1.0, 0.0, 1.0], [0.0, SQRT2, 0.0], [1.0, 0.0, -1.0]]) / SQRT2
+
+#: Gauss nodes 1/2 -+ sqrt(3)/6 of a step, and twice the weights
+#: (3 -+ 2 sqrt(3))/12 of the commutator-free Magnus step ``_cf4``.
+_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_W1, _W2 = 0.5 - math.sqrt(3.0) / 3.0, 0.5 + math.sqrt(3.0) / 3.0
 
 
 @dataclass(frozen=True)
@@ -260,9 +262,10 @@ def initial_state(prep: InitialPreparation) -> TruncatedState:
     )
 
 
-#: Steps that ``propagate`` fills at once.  A chunk costs RK4 O(log2 _CHUNK)
-#: numpy calls and the closed form a fixed number, so long chunks pay; at
-#: 1024 no temporary exceeds 128 kB, and peak memory is as at 256.
+#: Rows that ``propagate`` fills, and segments whose ``_tree`` it builds, at
+#: once.  A chunk costs a fixed number of numpy calls plus the tree's
+#: O(log2 _CHUNK), so long chunks pay; at 1024 a tree's and a row chunk's
+#: temporaries stay within 128 kB.
 _CHUNK = 1024
 
 
@@ -270,23 +273,6 @@ def _mul(x, y):
     """Products of the matrices x of shape (k, k, ...) and y of shape
     (k, m, ...), elementwise over the trailing axes."""
     return (x[:, :, None] * y).sum(axis=1)
-
-
-def _rk4_steps(node, mid, h):
-    """Classical RK4 step matrices of the linear system y' = M(t) y, built
-    elementwise on (k, k, ..., n) component arrays.
-
-    ``node`` holds M at the n + 1 step boundaries and ``mid`` at the n
-    midpoints, along the last axis.  Step k is I + h/6 (M1 + 2 M2 P2 +
-    2 M2 P3 + M4 P4) with P2 = I + h/2 M1, P3 = I + h/2 M2 P2 and
-    P4 = I + h M2 P3.
-    """
-    m1, m4 = node[..., :-1], node[..., 1:]
-    eye = np.eye(len(node)).reshape(node.shape[:2] + (1,) * (node.ndim - 2))
-    k2 = _mul(mid, eye + 0.5 * h * m1)
-    k3 = _mul(mid, eye + 0.5 * h * k2)
-    k4 = _mul(m4, eye + h * k3)
-    return eye + (h / 6.0) * (m1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _tree(mats):
@@ -333,15 +319,6 @@ def _sweep(levels, x):
     return cols
 
 
-def _frame_generators(u, j, omega_eff):
-    """-iH in the ``_FRAME`` basis over the sample arrays ``u`` and ``j``:
-    the scalars on (P, M, A) as a (1, 1, 3, n) array and the block on
-    (S, c11) as a (2, 2, n) array."""
-    anti = -2j * (u + omega_eff)
-    scalars = np.array([[[1j * j - 1j * omega_eff, -1j * j - 1j * omega_eff, anti]]])
-    return scalars, np.array([[anti, 2j * j], [2j * j, np.full_like(anti, -2j * omega_eff)]])
-
-
 def _rotation(u, j, dt):
     """The (S, c11) part of the two-quanta propagator over a time dt of
     constant controls u, j (all three broadcast), phase aside.
@@ -366,54 +343,60 @@ def _one_quantum(theta, turn, v):
     return turn * (np.cos(theta) * v + 1j * np.sin(theta) * v[::-1])
 
 
-def _rk4(schedule, tgrid, omega_eff, out):
-    """Filler of rows lo + 1 .. hi of ``out`` from row lo by RK4 steps.  In
-    the ``_FRAME`` basis the step matrices are elementwise: the scalar modes
-    P, M and A advance by cumulative products of their step factors, and
-    (S, c11) by the ``_sweep`` of its 2x2 steps' ``_tree``."""
+def _cf4(schedule, tgrid):
+    """The sampled ``schedule`` as piecewise-constant controls, two equal
+    segments per step of ``tgrid``: the 4th-order commutator-free Magnus
+    step CF4:2 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006);
+    Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).
+
+    With the generators A1, A2 at the Gauss nodes t + (1/2 -+ sqrt(3)/6) h,
+    a step is exp(h (a1 A1 + a2 A2)) exp(h (a2 A1 + a1 A2)), with
+    a1,2 = (3 -+ 2 sqrt(3))/12.  The generator is linear in (U, J), and the
+    frequency enters each factor with weight a1 + a2 = 1/2, so each factor
+    is a constant-control propagator over h/2: first under 2 (a2 U1 + a1 U2),
+    then under 2 (a1 U1 + a2 U2), and likewise for J.
+    """
     h = schedule.duration / (tgrid.size - 1)
-    u_nodes, j_nodes = schedule.controls_at(tgrid)
-    u_mid, j_mid = schedule.controls_at(tgrid[:-1] + 0.5 * h)
-
-    def fill(lo, hi):
-        nodes = _frame_generators(u_nodes[lo:hi + 1], j_nodes[lo:hi + 1], omega_eff)
-        mids = _frame_generators(u_mid[lo:hi], j_mid[lo:hi], omega_eff)
-        scalars, pair = (_rk4_steps(node, mid, h) for node, mid in zip(nodes, mids))
-        x = _FRAME @ out[lo]
-        rows = out[lo + 1:hi + 1]
-        rows[:, [1, 2, 5]] = (np.cumprod(scalars[0, 0], axis=-1) * x[[1, 2, 5], None]).T
-        rows[:, [4, 3]] = _sweep(_tree(pair), x[[4, 3], None])[:, 0, 1:hi - lo + 1].T
-        rows[:] = rows @ _FRAME
-    return fill
+    g1, g2 = (np.array(schedule.controls_at(tgrid[:-1] + c * h)) for c in _NODES)
+    u, j = np.stack((_W2 * g1 + _W1 * g2, _W1 * g1 + _W2 * g2), axis=-1).reshape(2, -1)
+    return ControlVector(u, j, schedule.duration)
 
 
-def _exact(cv, tgrid, omega_eff, out):
+def _exact(cv, k, offset, tgrid, omega_eff, out):
     """Filler of rows lo + 1 .. hi of ``out`` in closed form under the
-    piecewise-constant controls ``cv``: (c10, c01) from the integrated
-    coupling Theta(t); in the (S, c11, A) basis of ``_rotation`` the phases
-    exp(-i (Phi + 2 w t)) on (S, c11) and exp(-2i (Phi + w t)) on A, with
-    Phi(t) the integrated nonlinearity; (S, c11) at each segment's start by
-    the ``_sweep`` of the segment rotations' ``_tree``, and each sample
-    advanced from there by its offset into its segment."""
+    piecewise-constant controls ``cv``, sample i lying ``offset[i]`` into
+    segment ``k[i]`` (or, at offset 0, on the edge k[i] <= cv.segments):
+    (c10, c01) from the integrated coupling Theta(t); in the (S, c11, A)
+    basis of ``_rotation`` the phases exp(-i (Phi + 2 w t)) on (S, c11) and
+    exp(-2i (Phi + w t)) on A, with Phi(t) the integrated nonlinearity;
+    (S, c11) at the start of each sample's segment from the ``_sweep`` of
+    the segment rotations' ``_tree``, built ``_CHUNK`` segments at a time
+    with the edge state carried from chunk to chunk, and each chunk of
+    samples advanced from there by its offsets unless they are all 0."""
     dt = cv.duration / cv.segments
-    k = cv._segment(tgrid)
-    offset = tgrid - k * dt
-    u, j = cv.u[k], cv.j[k]
-    phi = dt * np.cumsum(np.append(0.0, cv.u))[k] + offset * u
-    theta = dt * np.cumsum(np.append(0.0, cv.j))[k] + offset * j
     x0 = _Q_SYM @ out[0, _TWO]  # (S, c11, A)
-    edges = _sweep(_tree(_rotation(cv.u, cv.j, dt)[0]), x0[:2, None])[:, 0]
+    edge, pairs = x0[:2, None], np.empty((2, k.size), dtype=complex)
+    sums, phases = np.zeros((2, 1)), np.empty((2, k.size))  # (Phi, Theta) = dt * sums
+    for a in range(0, cv.segments, _CHUNK):
+        u, j = cv.u[a:a + _CHUNK], cv.j[a:a + _CHUNK]
+        cols = _sweep(_tree(_rotation(u, j, dt)[0]), edge)[:, 0]
+        sums = np.cumsum(np.concatenate((sums[:, -1:], [u, j]), axis=1), axis=1)
+        at = slice(*np.searchsorted(k, [a, a + u.size + 1]))  # k in [a, a + u.size]
+        pairs[:, at], phases[:, at] = cols[:, k[at] - a], dt * sums[:, k[at] - a]
+        edge = cols[:, u.size, None]
 
     def fill(lo, hi):
         rows = slice(lo + 1, hi + 1)
-        t = tgrid[rows]
-        rot = _rotation(u[rows], j[rows], offset[rows])[0]
-        pair = (rot * edges[:, k[rows]]).sum(axis=1)
-        pair *= np.exp(-1j * (phi[rows] + 2.0 * omega_eff * t))
-        anti = x0[2] * np.exp(-2j * (phi[rows] + omega_eff * t))
+        t, off, pair, (p, q) = tgrid[rows], offset[rows], pairs[:, rows], phases[:, rows]
+        if off.any():
+            u, j = cv.u[k[rows]], cv.j[k[rows]]
+            p, q = p + off * u, q + off * j
+            pair = (_rotation(u, j, off)[0] * pair).sum(axis=1)
+        pair *= np.exp(-1j * (p + 2.0 * omega_eff * t))
+        anti = x0[2] * np.exp(-2j * (p + omega_eff * t))
         out[rows, _TWO] = np.column_stack((*pair, anti)) @ _Q_SYM
         turn = np.exp(-1j * omega_eff * t)[:, None]
-        out[rows, _ONE] = _one_quantum(theta[rows, None], turn, out[0, _ONE])
+        out[rows, _ONE] = _one_quantum(q[:, None], turn, out[0, _ONE])
     return fill
 
 
@@ -425,34 +408,36 @@ def propagate(
 ) -> Trajectory:
     """The state, from its initial amplitudes ``state``, at ``steps`` + 1
     uniform times over [0, T], endpoints included, filled ``_CHUNK`` steps
-    at a time.
+    at a time by ``_exact``.
 
-    A sampled ``ControlSchedule`` (U and J linearly interpolated between
-    samples) is integrated by fixed-step classical 4th-order Runge-Kutta,
-    per chunk a cumulative product on each scalar mode of ``_FRAME`` and
-    the ``_tree`` and ``_sweep`` scan on (S, c11); piecewise-constant
-    ``ControlVector`` controls are propagated exactly, up to floating
-    point, whatever ``steps``.  ``params`` holds the frequency and loss
-    rate.  Raises FloatingPointError (and warns of nothing) if the state
-    stops being finite (runaway step size).
+    Piecewise-constant ``ControlVector`` controls are propagated exactly,
+    up to floating point, whatever ``steps``.  A sampled ``ControlSchedule``
+    (U and J linearly interpolated between samples) takes one 4th-order
+    commutator-free Magnus step ``_cf4`` per step: two constant-control
+    segments, run exactly, so every step is unitary up to the loss factor
+    and each sample is the state at a segment edge.  ``params`` holds the
+    frequency and loss rate.  Raises FloatingPointError (and warns of
+    nothing) if the state stops being finite (controls that overflow).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     tgrid = np.linspace(0.0, schedule.duration, steps + 1)
-    out = np.empty((steps + 1, 6), dtype=complex)
-    out[0] = state.as_array()
-    out[:, 0] = state.c00
-    method = _exact if isinstance(schedule, ControlVector) else _rk4
-    fill = method(schedule, tgrid, effective_frequency(params), out)
+    out = np.tile(state.as_array(), (steps + 1, 1))  # c00 is constant
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if isinstance(schedule, ControlVector):
+            k = schedule._segment(tgrid)
+            offset = tgrid - k * (schedule.duration / schedule.segments)
+        else:  # sample i on edge 2i, after i steps of two segments
+            schedule, k = _cf4(schedule, tgrid), 2 * np.arange(steps + 1)
+            offset = np.zeros(steps + 1)
+        fill = _exact(schedule, k, offset, tgrid, effective_frequency(params), out)
         for lo in range(0, steps, _CHUNK):
             hi = min(lo + _CHUNK, steps)
             fill(lo, hi)
             bad = ~np.all(np.isfinite(out[lo + 1:hi + 1]), axis=1)
             if bad.any():
-                k = lo + 1 + int(np.argmax(bad))
+                i = lo + 1 + int(np.argmax(bad))
                 raise FloatingPointError(
-                    f"state became non-finite at t = {tgrid[k]:.6g} "
-                    f"(step {k}/{steps}); reduce the step size or the controls"
+                    f"state became non-finite at t = {tgrid[i]:.6g} (step {i}/{steps})"
                 )
     return Trajectory(times=tgrid, amplitudes=out)

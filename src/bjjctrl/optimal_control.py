@@ -592,7 +592,7 @@ def sweep(
     check_idx = sorted({0, durations.size // 2, durations.size - 1})
     curves = []
     for kappa in kappa_list:
-        scaled = base * np.exp(-kappa * durations)
+        scaled = base * np.array([math.exp(-kappa * t) for t in durations.tolist()])
         for i in check_idx:
             direct = float(objective(bests[i], prep, JunctionParams(kappa=kappa)))
             want = float(scaled[i])

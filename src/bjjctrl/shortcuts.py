@@ -241,7 +241,7 @@ def _controls_on(profile: ReferenceProfile, duration: float, s: np.ndarray):
         d2phi = profile.angle(s, 2) / duration**2
         de0 = profile.gap(s, 1) / duration
         den = (e0 * sin) ** 2 + dphi**2
-        num = e0**3 * sin**2 * cos + de0 * dphi * sin + e0 * (2.0 * dphi**2 * cos - d2phi * sin)
+        num = e0 * e0 * e0 * sin**2 * cos + de0 * dphi * sin + e0 * (2.0 * dphi**2 * cos - d2phi * sin)
         u = np.zeros_like(den)
         ok = den > 1e-24
         # Where gap and angle rate vanish together (t = T) the boundary

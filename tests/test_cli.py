@@ -354,11 +354,19 @@ def test_sampled_schedule_replays_bit_equal_property(columns):
 
 
 def test_simulate_runaway_fails_with_one_line(tmp_path):
-    sched_file = tmp_path / "runaway.csv"
-    sched_file.write_text("t,u,j\n0,0,1e6\n1,0,1e6\n")
-    code, out, err = run_cli("simulate", "--schedule", str(sched_file), "--steps", "50")
+    """Every step is unitary whatever its size: under J = 1e6 and U = 0 the
+    state stays a product state.  A rotation angle that overflows
+    (J = 1e200) fails with one line and no warning."""
+    steady = tmp_path / "steady.csv"
+    steady.write_text("t,u,j\n0,0,1e6\n1,0,1e6\n")
+    code, out, err = run_cli("simulate", "--schedule", str(steady), "--steps", "50")
+    assert code == 0 and err == ""
+    assert abs(json.loads(out)["peak_concurrence_norm"]) <= 1e-12
+    runaway = tmp_path / "runaway.csv"
+    runaway.write_text("t,u,j\n0,0,1e200\n1,0,1e200\n")
+    code, out, err = run_cli("simulate", "--schedule", str(runaway), "--steps", "50")
     assert code == 3 and out == ""
-    assert len(err.splitlines()) == 1 and "non-finite" in err
+    assert len(err.splitlines()) == 1 and "non-finite" in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -554,24 +562,28 @@ def test_optimiser_commands_reject_invalid_bounds(capsys, argv, bounds):
 #: part of simulate's config line, so the runs share one directory.
 CSV_SHA256 = [
     (("shortcut", "--profile", "fast", "--steps", "200", "--out", "shortcut.csv"),
-     "a27c0aa541ff5bc1f975aefa8f8e054b2e4ece5ab9c28bcb528a3e6e56f3616a",
-     "afc87c7dace26f95e7d3181843df5c85077518831ad5bd5adf25d740e7e84a15"),
+     "fbcbe035291647970068606d407951d1a308cd3ee6a2b5e68fe6d53c125d2ef4",
+     "920d1efe28049afb22a559913f61872a49d9195bb7102727e3a7c202da29f953"),
     (("simulate", "--schedule", "shortcut.csv", "--steps", "200", "--out", "simulate.csv"),
-     "9a6bf37f6e7cc866de29c65ddf4322b457ef9a5f400a1ef168798d5f758196db",
-     "16984b0375f6666b3ba6258c857524501b14e1fd6dd589b4f1295ace83f9a377"),
+     "c61a06fc6cdf95dd62f45f61bbfbb395abed2032c42309c468b8cbfbd3fb1562",
+     "0f9f1c2e562dcd48729b4b4e6edbc9747da6f1bc9630f2348c2a3621f4903935"),
     (("optimize", "--T", "3", "--segments", "10", "--seeds", "1", "--out", "optimize.csv"),
      "da94ae84db9631c524c4c65868b800d7479f0cfd44fe0ddff2a9caa5340c5c9c",
      "8957da0ceda2dd3836ec6e678282dc8e1c654c06a28404361f809d097b0b7998"),
     (("sweep", "--T", "1:2:0.5", "--segments", "4", "--seeds", "1", "--max-iter", "5",
       "--out", "sweep.csv"),
-     "12c55ad0c9d6bd73ae385d95d84f08a2a40db3bf4ef22373402e61ea8cb9a587",
+     "ca2d59ede72525c5dfae9f9c42964abf9056b52c791eae4f5659eb2530dfcb58",
      "02f0f30fee60fe3d6050c137b77820a69b31aa745b3d8dd3d4be7460229420de"),
     (("duration", "--profile", "fast", "--out", "duration.csv"),
      "222f3b1bc74e3f1f4eaa639b969d7cd8eb62f37d04e3c1b68811e4f2838ad76b",
      "493f1329b68d2f4f43dabe86aec2902a023ec6207ec1cec20a701a6ba2af4762"),
     (("shortcut", "--profile", "original", "--steps", "200", "--out", "shortcut_original.csv"),
-     "6314f6c665598a632852576263d1a821dd24d34ea0b626c1583f6cf199de407e",
-     "e0b6b3ad0469f0cab35f31ac08601200c568ca535afb7572d2f8e5e39f45a2f3"),
+     "61e85706336b38097ab7ddd043db8f19359073b0ff480d227248ac960c8f3ad0",
+     "07582f8a0af1d8779480d6f7823d2a628f49261c0b0a86b8681300724fbb91b7"),
+    (("shortcut", "--profile", "fast", "--kappa", "0.05", "--steps", "200",
+      "--out", "shortcut_lossy.csv"),
+     "991a7245df14bbef42ef303d5bbafcbab9754b26c1619b3ab1149bc47bd349d5",
+     "563ff7c348c0f7a664756266f209954491e48044e2261d7080127053133b854a"),
 ]
 
 
@@ -620,9 +632,9 @@ def dispatch_masks():
 
 def pinned_values(directory, mask):
     """Each ``CSV_SHA256`` command, run in a subprocess in ``directory``
-    with the dispatch levels ``mask`` off, as (exact, numbers): the parts
-    of its stdout and CSV that must match exactly, and the stdout numbers
-    followed by the CSV entries."""
+    with the dispatch levels ``mask`` off, as (data, exact, numbers): its
+    stdout and CSV bytes, the parts of them that must match exactly, and
+    the stdout numbers followed by the CSV entries."""
     env = {k: v for k, v in ENV.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     if mask:
         env["NPY_DISABLE_CPU_FEATURES"] = mask
@@ -640,7 +652,8 @@ def pinned_values(directory, mask):
         meta, header, rows = read_csv(Path(directory) / argv[-1])
         exact = ({k: v for k, v in printed.items() if k not in numeric}, numeric, meta, header,
                  rows.shape)
-        values.append((exact, np.concatenate(([printed[k] for k in numeric], rows.ravel()))))
+        data = (out.encode(), (Path(directory) / argv[-1]).read_bytes())
+        values.append((data, exact, np.concatenate(([printed[k] for k in numeric], rows.ravel()))))
     return values
 
 
@@ -651,7 +664,7 @@ def relative_gaps(want, got):
     residuals, relative already, are rounding noise.  Where the exact
     parts differ, the gap is infinite."""
     gaps = []
-    for (want_exact, a), (exact, b) in zip(want, got):
+    for (_, want_exact, a), (_, exact, b) in zip(want, got):
         if exact != want_exact:
             gaps.append(math.inf)
         else:
@@ -660,9 +673,10 @@ def relative_gaps(want, got):
 
 
 def test_pinned_commands_agree_across_simd_levels(tmp_path):
-    """Below this host's SIMD dispatch levels numpy's float64 kernels may
-    round differently, so the byte pins may not hold; every pinned value
-    must still agree with this host's to 1e-12 relative."""
+    """Down to X86_V3 (AVX2) every kernel the pinned commands call rounds
+    alike, so each writes this host's bytes; below it complex multiply
+    rounds differently, and every pinned value must still agree with this
+    host's to 1e-12 relative."""
     masks = dispatch_masks()
     if not masks:
         pytest.skip("numpy dispatches no SIMD level above its baseline here")
@@ -671,8 +685,13 @@ def test_pinned_commands_agree_across_simd_levels(tmp_path):
     failures = []
     for i, mask in enumerate(masks):
         (tmp_path / str(i)).mkdir()
-        gaps = relative_gaps(want, pinned_values(tmp_path / str(i), mask))
-        for (argv, _, _), gap in zip(CSV_SHA256, gaps):
+        got = pinned_values(tmp_path / str(i), mask)
+        if "X86_V3" not in mask.split():
+            for (argv, _, _), w, g in zip(CSV_SHA256, want, got):
+                if w[0] != g[0]:
+                    failures.append(f"{mask}: {' '.join(argv)}: bytes differ")
+            continue
+        for (argv, _, _), gap in zip(CSV_SHA256, relative_gaps(want, got)):
             if not gap <= 1e-12:
                 failures.append(f"{mask}: {' '.join(argv)}: relative gap {gap:.3g}")
     assert not failures, "\n".join(failures)
@@ -807,15 +826,21 @@ def test_alpha_whose_square_is_not_normal_is_refused(tmp_path, capsys, argv, alp
 
 def test_alpha_whose_square_is_normal_keeps_the_ratio(capsys):
     """C/alpha^2 does not depend on alpha: the smallest accepted alpha gives
-    the bits of the default."""
-    smallest = math.nextafter(_ALPHA_SUBNORMAL, 1.0)
+    the default's ratio to rel 1e-15, about 5 ulps.  An alpha whose square is
+    subnormal may only be refused: at 1e-160 the ratio would move by 5e-4."""
+    smallest = repr(math.nextafter(_ALPHA_SUBNORMAL, 1.0))
     argv = ("shortcut", "--profile", "fast", "--steps", "50", "--samples", "11", "--alpha")
-    ratios = []
-    for alpha in (repr(smallest), "0.1"):
+    ratios = {}
+    for alpha in ("1e-160", smallest, "0.1"):
         code, out, err = main_in_process(capsys, *argv, alpha)
-        assert code == 0 and err == ""
-        ratios.append(json.loads(out)["final_concurrence_norm"])
-    assert ratios[0] == ratios[1]
+        if code == 0:
+            assert err == ""
+            ratios[alpha] = json.loads(out)["final_concurrence_norm"]
+        else:
+            assert code == 2 and float(alpha) ** 2 < sys.float_info.min
+    assert smallest in ratios
+    for alpha, ratio in ratios.items():
+        assert ratio == pytest.approx(ratios["0.1"], rel=1e-15, abs=0), alpha
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -44,40 +44,43 @@ def block_matrices(u, j, omega_eff):
     return h1, h2
 
 
-def rhs_oracle(vec, u, j, omega, kappa):
-    h1, h2 = block_matrices(u, j, omega - 0.5j * kappa)
-    out = np.zeros(6, dtype=complex)
-    out[1:3] = -1j * (h1 @ vec[1:3])
-    out[[4, 3, 5]] = -1j * (h2 @ vec[[4, 3, 5]])
-    return out
-
-
-def expm_oracle(state, u, j, omega, kappa, duration):
-    """Brute-force matrix exponential of the assembled 6x6 generator."""
+def generator(u, j, omega, kappa):
+    """The assembled 6x6 generator -iH, with c00's row and column zero."""
     h1, h2 = block_matrices(u, j, omega - 0.5j * kappa)
     big = np.zeros((6, 6), dtype=complex)
     big[1:3, 1:3] = h1
     big[np.ix_([4, 3, 5], [4, 3, 5])] = h2
-    return expm(-1j * duration * big) @ state.as_array()
+    return -1j * big
 
 
-def rk4_oracle(state, schedule, omega, kappa, steps):
-    """Textbook RK4 over ``rhs_oracle``, one step at a time."""
+def expm_oracle(state, u, j, omega, kappa, duration):
+    """Brute-force matrix exponential of the assembled 6x6 generator."""
+    return expm(duration * generator(u, j, omega, kappa)) @ state.as_array()
+
+
+#: Gauss nodes of a step and the weights a1, a2 of the commutator-free
+#: Magnus step CF4:2 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)).
+GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+CF4_WEIGHTS = ((3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0)
+
+
+def cf4_oracle(state, schedule, omega, kappa, steps):
+    """Textbook CF4:2 on the 6x6 generator, one step at a time: step k
+    multiplies by expm(h (a1 A1 + a2 A2)) expm(h (a2 A1 + a1 A2)), with A1
+    and A2 the generator at the Gauss nodes of [t_k, t_k + h]."""
     h = schedule.duration / steps
-    t = np.linspace(0.0, schedule.duration, steps + 1)
-
-    def f(tk, vec):
-        u, j = schedule.controls_at(tk)
-        return rhs_oracle(vec, u, j, omega, kappa)
-
+    starts = np.linspace(0.0, schedule.duration, steps + 1)[:-1]
+    a1, a2 = CF4_WEIGHTS
+    gens = [
+        np.array([generator(*schedule.controls_at(t + c * h), omega, kappa) for t in starts])
+        for c in GAUSS_NODES
+    ]
+    first = expm(h * (a2 * gens[0] + a1 * gens[1]))
+    second = expm(h * (a1 * gens[0] + a2 * gens[1]))
     y = state.as_array()
     out = [y]
-    for k in range(steps):
-        k1 = f(t[k], y)
-        k2 = f(t[k] + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t[k] + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t[k + 1], y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for f, s in zip(first, second):
+        y = s @ (f @ y)
         out.append(y)
     return np.array(out)
 
@@ -202,20 +205,20 @@ def test_propagate_random_constant_instances(rng):
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.1])
-def test_propagate_matches_stepwise_rk4_oracle(rng, kappa):
-    # time-dependent controls make each step's node and midpoint
-    # generators differ; 300 steps span more than one chunk of propagate
+def test_propagate_matches_stepwise_cf4_oracle(rng, kappa):
+    # time-dependent controls make each step's two Gauss-node generators
+    # differ; the chunk edges are left to the random runs below
     for phase in (0.0, 1.3):
         vec = rng.normal(size=6) + 1j * rng.normal(size=6)
         state = TruncatedState.from_array(vec / np.linalg.norm(vec))
         schedule = smooth_schedule(6.0, phase=phase, samples=37)
         traj = propagate(state, schedule, JunctionParams(0.2, kappa), steps=300)
-        want = rk4_oracle(state, schedule, 0.2, kappa, 300)
+        want = cf4_oracle(state, schedule, 0.2, kappa, 300)
         assert np.max(np.abs(traj.amplitudes - want)) < 1e-12
 
 
 @st.composite
-def rk4_runs(draw):
+def sampled_runs(draw):
     """A random unnormalised state with c10 != c01 and c20 != c02, so that
     every scalar mode and the (S, c11) pair carry amplitude; a random
     linearly interpolated schedule of 2-40 samples on [0, T] with T in
@@ -236,20 +239,38 @@ def rk4_runs(draw):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=50)
-@given(rk4_runs())
-def test_rk4_matches_stepwise_oracle_on_random_runs(run):
-    """``propagate``'s elementwise RK4 is the textbook step, one step at a
-    time, on every mode and across chunk edges."""
+@given(sampled_runs())
+def test_cf4_matches_stepwise_oracle_on_random_runs(run):
+    """``propagate`` on a sampled schedule is the textbook CF4:2 step, one
+    step at a time, on every mode and across chunk edges."""
     state, schedule, omega, kappa, steps = run
     traj = propagate(state, schedule, JunctionParams(omega, kappa), steps)
-    want = rk4_oracle(state, schedule, omega, kappa, steps)
+    want = cf4_oracle(state, schedule, omega, kappa, steps)
     assert np.max(np.abs(traj.amplitudes - want)) < 1e-12
+
+
+def test_sampled_schedules_converge_at_fourth_order():
+    """Halving the step divides the error by 2^4 = 16.  The samples lie
+    every T/10, so at 10 * 2^k steps each step sees controls linear in t,
+    and no kink between samples lowers the order; the differences of
+    successive final states stand for the errors."""
+    rng = np.random.default_rng(5)
+    vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+    state = TruncatedState.from_array(vec / np.linalg.norm(vec))
+    schedule = smooth_schedule(6.0, samples=11)
+    finals = [
+        propagate(state, schedule, JunctionParams(0.2, 0.05), 10 * 2**k).final.as_array()
+        for k in range(5)
+    ]
+    diffs = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
+    ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+    assert all(15.0 < r < 17.0 for r in ratios), ratios
 
 
 @st.composite
 def matrix_chains(draw):
     """n non-unitary complex 2x2 matrices I + h Z in ``_mul``'s layout
-    (2, 2, n), like RK4's steps, with Z's entries normal and h in
+    (2, 2, n), with Z's entries normal and h in
     [0, 0.1], and start columns x of shape (2, m), m in {1, 2}; n is
     around the powers of two where the tree's padding starts or ends."""
     n = draw(st.sampled_from([1, 2, 3, 5, 1023, 1024, 1025]))
@@ -284,7 +305,8 @@ def test_sweep_of_tree_is_the_sequential_chain(chain):
 
 def test_propagate_aborts_on_blowup():
     """The error names the first non-finite row, here 37 rows into the
-    second chunk: J jumps to 1e200 just past that row's step midpoint."""
+    second chunk: J jumps to 1e200 between the Gauss nodes of the step
+    that ends at that row."""
     state = initial_state(symmetric_preparation(0.1))
     steps = _CHUNK + 100
     first = _CHUNK + 37
@@ -293,7 +315,7 @@ def test_propagate_aborts_on_blowup():
     times = np.array([0.0, jump, jump + 0.1 * h, 1.0])
     schedule = ControlSchedule(times, np.full(4, 0.3), np.array([0.1, 0.1, 1e200, 1e200]))
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = rk4_oracle(state, schedule, 0.0, 0.0, steps)
+        rows = cf4_oracle(state, schedule, 0.0, 0.0, steps)
         bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
         assert bad[0] == first
         shown = f"t = {np.linspace(0.0, 1.0, steps + 1)[first]:.6g} (step {first}/{steps})"
@@ -349,13 +371,14 @@ def lossy_runs(draw):
 def test_manifold_populations_decay_as_exp_minus_n_kappa_t(run):
     """The loss shift is the same on every amplitude of an n-quanta
     manifold, so each population is its initial value times
-    exp(-n kappa t), whatever the controls.  At 2000 steps RK4 keeps
-    this to 1e-8 relative (the worst drawn case is about 2.3e-9)."""
+    exp(-n kappa t), whatever the controls.  Every step is unitary up
+    to that factor, so at 2000 steps this holds to rounding: the worst
+    drawn case is about 2.5e-14 relative."""
     state, schedule, params = run
     traj = propagate(state, schedule, params, steps=2000)
     for n, pop in enumerate(traj.manifold_populations(), start=1):
         want = pop[0] * np.exp(-n * params.kappa * traj.times)
-        assert np.max(np.abs(pop - want)) <= 1e-8 * pop[0]
+        assert np.max(np.abs(pop - want)) <= 1e-11 * pop[0]
 
 
 @st.composite
@@ -469,9 +492,10 @@ def test_product_phase_modulus_is_pinned(rng):
         t[0] = 0.0
         t = np.unique(t)
         schedule = ControlSchedule(t, rng.uniform(0, 1, t.size), rng.uniform(0, 1, t.size))
-        # RK4 steps across the kinks of up to 400 samples; 1e4 steps keep
-        # the modulus to about 7e-8 relative
-        assert abs(final_product(schedule, 0.2, 10_000)) == pytest.approx(0.02, rel=2e-7)
+        # the one-quantum steps are unitary, so the modulus holds to
+        # rounding (about 3e-16 relative) across the kinks of up to 400
+        # samples
+        assert abs(final_product(schedule, 0.2, 10_000)) == pytest.approx(0.02, rel=1e-13)
 
 
 def test_product_phase_matches_propagated_product():

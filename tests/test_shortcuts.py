@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from bjjctrl import (
     JunctionParams,
     counterdiabatic_controls,
+    dominant_trace,
     duration_lhs,
     estimate_min_duration,
     initial_state,
@@ -23,6 +24,7 @@ from bjjctrl import (
 )
 from bjjctrl import shortcuts
 from bjjctrl.dynamics import SQRT2, ControlSchedule
+from bjjctrl.entanglement import MAX_NORMALIZED_CONCURRENCE
 from bjjctrl.shortcuts import (
     _LHS_CHUNK,
     PiecewisePoly,
@@ -309,6 +311,24 @@ def test_controls_positive_and_coupling_dominates(run_name, request):
     s = sched.times / run.duration
     floor = 0.25 * run.profile.gap(s) * np.sin(run.profile.angle(s))
     assert np.all(sched.j >= floor - 1e-12)
+
+
+#: Step counts for the ceiling: every coarse one, and a few up to the default.
+CEILING_STEPS = [*range(1, 61), 100, 200, 500, 1000, 3000, 10_000]
+
+
+@pytest.mark.parametrize("run_name", ["original_run", "fast_run"])
+def test_shortcut_stays_below_the_ceiling_at_any_step_count(run_name, request):
+    """Every step is unitary, so no step count lifts the normalised
+    concurrence above 1 + sqrt(2), however coarse; the worst case measured
+    is about 2e-12 below it, relative."""
+    run = request.getfixturevalue(run_name)
+    state = initial_state(run.prep)
+    worst = max(
+        dominant_trace(propagate(state, run.schedule, JunctionParams(), steps).amplitudes).max()
+        for steps in CEILING_STEPS
+    ) / run.alpha**2
+    assert worst <= MAX_NORMALIZED_CONCURRENCE * (1.0 + 1e-12)
 
 
 def test_control_maxima_consistent_with_box_bounds(original_run, fast_run):

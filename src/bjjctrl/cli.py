@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
@@ -205,9 +204,55 @@ def _run_identity(options: dict) -> dict:
     return {k: v for k, v in options.items() if k != "out"}
 
 
+def _config_text(options: dict) -> str:
+    return json.dumps(_run_identity(options), sort_keys=True, default=str)
+
+
 def _config_hash(options: dict) -> str:
-    blob = json.dumps(_run_identity(options), sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    """First 12 hex digits of the SHA-256 of ``_config_text``."""
+    return _sha256_hex(_config_text(options).encode())[:12]
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) by Newton's method on integers, from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
+_PRIMES = [p for p in range(2, 312) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+#: FIPS 180-4, 4.2.2 and 5.3.3: the first 32 bits of the fractional parts of
+#: the cube roots of the first 64 primes, and of the square roots of the first 8.
+_K = [_integer_root(p << 96, 3) & 0xFFFFFFFF for p in _PRIMES]
+_H0 = [_integer_root(p << 64, 2) & 0xFFFFFFFF for p in _PRIMES[:8]]
+
+
+def _sha256_hex(data: bytes) -> str:
+    """SHA-256 (FIPS 180-4) of ``data`` as hex.  ``hashlib`` would map
+    OpenSSL's libcrypto, several MB of resident memory, into every run for
+    one short digest.  A 32-bit word x rotates right by n as
+    (x | x << 32) >> n, masked."""
+    m = 0xFFFFFFFF
+    h = list(_H0)
+    data += b"\x80" + bytes((55 - len(data)) % 64) + (8 * len(data)).to_bytes(8, "big")
+    for block in range(0, len(data), 64):
+        w = [int.from_bytes(data[i:i + 4], "big") for i in range(block, block + 64, 4)]
+        for i in range(16, 64):
+            x, y = w[i - 15], w[i - 2]
+            xx, yy = x | x << 32, y | y << 32
+            s0 = (xx >> 7 ^ xx >> 18) & m ^ x >> 3
+            s1 = (yy >> 17 ^ yy >> 19) & m ^ y >> 10
+            w.append((w[i - 16] + s0 + w[i - 7] + s1) & m)
+        a, b, c, d, e, f, g, hh = h
+        for k, wi in zip(_K, w):
+            aa, ee = a | a << 32, e | e << 32
+            t1 = hh + ((ee >> 6 ^ ee >> 11 ^ ee >> 25) & m) + (e & f ^ ~e & g) + k + wi
+            t2 = ((aa >> 2 ^ aa >> 13 ^ aa >> 22) & m) + (a & b ^ a & c ^ b & c)
+            hh, g, f, e = g, f, e, (d + t1) & m
+            d, c, b, a = c, b, a, (t1 + t2) & m
+        h = [(x + y) & m for x, y in zip(h, (a, b, c, d, e, f, g, hh))]
+    return "".join(f"{x:08x}" for x in h)
 
 
 def _parse_floats(text, count=None, name="value"):
@@ -238,19 +283,20 @@ def _build_profile(options):
     return fast if options["profile"] == "fast" else profile_original()
 
 
-def _write_csv(path, command, options, header, rows):
+def _write_csv(path, command, options, config_hash, header, rows):
     """Metadata comments, the header, then one line per row, streamed.
 
     Rows hold Python ints and floats (not numpy scalars, whose repr names
     the type); repr round-trips a float exactly, so written schedules
     replay.  No field needs quoting, so the lines are the bytes
-    ``csv.writer`` writes for the same rows.
+    ``csv.writer`` writes for the same rows.  ``config_hash`` is
+    ``_config_hash(options)``, which the command's JSON carries too.
     """
     with open(path, "w", newline="") as f:
         f.write(f"# version={__version__}\n")
         f.write(f"# command={command}\n")
-        f.write(f"# config_hash={_config_hash(options)}\n")
-        f.write(f"# config={json.dumps(_run_identity(options), sort_keys=True, default=str)}\n")
+        f.write(f"# config_hash={config_hash}\n")
+        f.write(f"# config={_config_text(options)}\n")
         f.write(",".join(header) + "\r\n")
         f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
@@ -262,8 +308,8 @@ def _array_rows(table, block=1024):
         yield from table[start : start + block].tolist()
 
 
-def _emit_json(command, options, payload):
-    doc = {"command": command, "config_hash": _config_hash(options)}
+def _emit_json(command, config_hash, payload):
+    doc = {"command": command, "config_hash": config_hash}
     doc.update(payload)
     try:
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
@@ -293,6 +339,7 @@ def _run_trace(command, options, schedule, payload):
     )
     amps = traj.amplitudes
     conc = dominant_trace(amps) / alpha**2
+    config_hash = _config_hash(options)
     if options["out"]:
         t = traj.times
         u, j = schedule.controls_at(t)
@@ -303,10 +350,11 @@ def _run_trace(command, options, schedule, payload):
             t, u, j, norm_complex.real, norm_complex.imag, conc,
             np.abs(one - one[0] * decay), np.abs(two - two[0] * decay * decay),
         ))
-        _write_csv(options["out"], command, options, _TRACE_HEADER, _array_rows(table))
+        _write_csv(options["out"], command, options, config_hash, _TRACE_HEADER,
+                   _array_rows(table))
     payload["final_concurrence_norm"] = float(conc[-1])
     payload["peak_concurrence_norm"] = float(conc.max())
-    _emit_json(command, options, payload)
+    _emit_json(command, config_hash, payload)
     return 0
 
 
@@ -320,12 +368,13 @@ def cmd_duration(options) -> int:
         raise ConfigError("grid bounds must satisfy 0 < min < max")
     # the curve below is the grid the root scan accepted, bit for bit
     root = solve_duration(profile, scan=(lo, hi, step))
+    config_hash = _config_hash(options)
     if options["out"]:
         durations = np.append(duration_grid(lo, hi, step), root)
         lhs = duration_lhs(profile, durations)
         rows = zip(durations.tolist(), lhs.tolist())
-        _write_csv(options["out"], "duration", options, ["T", "lhs"], rows)
-    _emit_json("duration", options, {"root": root, "profile": options["profile"]})
+        _write_csv(options["out"], "duration", options, config_hash, ["T", "lhs"], rows)
+    _emit_json("duration", config_hash, {"root": root, "profile": options["profile"]})
     return 0
 
 
@@ -418,14 +467,16 @@ def cmd_optimize(options) -> int:
         base_seed=options["base_seed"],
         max_iter=options["max_iter"],
     )
+    config_hash = _config_hash(options)
     if options["out"]:
         dt = duration / res.best.segments
         rows = [
             (k, float(k * dt), float(res.best.u[k]), float(res.best.j[k]))
             for k in range(res.best.segments)
         ]
-        _write_csv(options["out"], "optimize", options, ["segment", "t_start", "u", "j"], rows)
-    _emit_json("optimize", options, {
+        _write_csv(options["out"], "optimize", options, config_hash,
+                   ["segment", "t_start", "u", "j"], rows)
+    _emit_json("optimize", config_hash, {
         "T": duration,
         "objective": res.objective,
         "iterations": res.iterations,
@@ -444,7 +495,7 @@ def cmd_mintime(options) -> int:
         base_seed=options["base_seed"],
         max_iter=options["max_iter"],
     )
-    _emit_json("mintime", options, {
+    _emit_json("mintime", _config_hash(options), {
         "minimum_time": tstar,
         "epsilon": options["epsilon"],
         "bounds": list(bounds),
@@ -463,13 +514,15 @@ def cmd_sweep(options) -> int:
         base_seed=options["base_seed"],
         max_iter=options["max_iter"],
     )
+    config_hash = _config_hash(options)
     if options["out"]:
         rows = [
             (float(c.kappa), float(t), float(v))
             for c in curves
             for t, v in zip(c.durations, c.objectives)
         ]
-        _write_csv(options["out"], "sweep", options, ["kappa", "T", "objective"], rows)
+        _write_csv(options["out"], "sweep", options, config_hash,
+                   ["kappa", "T", "objective"], rows)
     summary = {
         f"argmax_T_kappa_{c.kappa:g}": float(c.durations[int(np.argmax(c.objectives))])
         for c in curves
@@ -477,7 +530,7 @@ def cmd_sweep(options) -> int:
     lossless = [c.objectives.max() for c in curves if c.kappa == 0.0]
     if lossless:
         summary["max_objective_kappa_0"] = float(max(lossless))
-    _emit_json("sweep", options, summary)
+    _emit_json("sweep", config_hash, summary)
     return 0
 
 
@@ -505,7 +558,7 @@ def cmd_entangle(options) -> int:
         payload["entropy_of_concurrence_bits"] = entanglement_of_concurrence(
             min(cv.dominant, 1.0)
         )
-    _emit_json("entangle", options, payload)
+    _emit_json("entangle", _config_hash(options), payload)
     return 0
 
 

@@ -127,7 +127,8 @@ class InitialPreparation:
 
     @property
     def alpha_sq(self) -> float:
-        return abs(self.alpha1) ** 2 + abs(self.alpha2) ** 2
+        a1, a2 = abs(self.alpha1), abs(self.alpha2)
+        return a1 * a1 + a2 * a2  # float ** raises OverflowError, * gives inf
 
 
 def symmetric_preparation(alpha: float) -> InitialPreparation:
@@ -358,8 +359,10 @@ def _cf4(schedule, tgrid):
     """
     h = schedule.duration / (tgrid.size - 1)
     g1, g2 = (np.array(schedule.controls_at(tgrid[:-1] + c * h)) for c in _NODES)
-    u, j = np.stack((_W2 * g1 + _W1 * g2, _W1 * g1 + _W2 * g2), axis=-1).reshape(2, -1)
-    return ControlVector(u, j, schedule.duration)
+    uj = np.stack((_W2 * g1 + _W1 * g2, _W1 * g1 + _W2 * g2), axis=-1).reshape(2, -1)
+    if not np.all(np.isfinite(uj)):  # |U| or |J| above about 1.67e308
+        raise FloatingPointError("controls overflow in the Magnus step's node weighting")
+    return ControlVector(*uj, schedule.duration)
 
 
 def _exact(cv, k, offset, tgrid, omega_eff, out):

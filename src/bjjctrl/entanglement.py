@@ -84,7 +84,7 @@ def concurrence(state: TruncatedState, alpha: float | None = None) -> Concurrenc
     dominant = 2.0 * abs(state.c11 - state.c10 * state.c01)
     normalized = None
     if alpha is not None and alpha > 0.0:
-        normalized = dominant / alpha**2
+        normalized = dominant / (alpha * alpha)  # inf, not OverflowError, past 1e154
     return ConcurrenceValue(full=full, dominant=dominant, normalized=normalized)
 
 

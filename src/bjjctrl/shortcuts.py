@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .dynamics import SQRT2, ControlSchedule
 
@@ -128,8 +127,13 @@ class PiecewisePoly:
                 out[mask] = 0.0
                 continue
             lo, width = self.edges[i], self.edges[i + 1] - self.edges[i]
-            ci = npoly.polyder(np.asarray(c, dtype=float), m=order)
-            out[mask] = npoly.polyval((s[mask] - lo) / width, ci) / width**order
+            for _ in range(order):
+                c = [k * c[k] for k in range(1, len(c))]
+            x = (s[mask] - lo) / width
+            value = c[-1] + x * 0  # Horner, as numpy.polynomial's polyval
+            for ck in c[-2::-1]:
+                value = ck + value * x
+            out[mask] = value / width**order
         return out
 
 

@@ -346,7 +346,7 @@ def test_sampled_schedule_replays_bit_equal_property(columns):
     times, u and j."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "schedule.csv")
-        cli._write_csv(path, "shortcut", {}, ["t", "u", "j"], zip(*columns))
+        cli._write_csv(path, "shortcut", {}, cli._config_hash({}), ["t", "u", "j"], zip(*columns))
         loaded = cli._load_schedule(path)
     assert type(loaded) is ControlSchedule
     for got, want in zip((loaded.times, loaded.u, loaded.j), columns):
@@ -367,6 +367,18 @@ def test_simulate_runaway_fails_with_one_line(tmp_path):
     code, out, err = run_cli("simulate", "--schedule", str(runaway), "--steps", "50")
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and "non-finite" in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("row", ["1.7e308,0", "0,-1.7e308"])
+def test_simulate_controls_that_overflow_the_magnus_weighting_fail(tmp_path, capsys, row):
+    """Finite samples whose weighted sums at the Gauss nodes overflow are a
+    numerical failure, with one line and (the suite errors on warnings) no
+    warning."""
+    path = tmp_path / "huge.csv"
+    path.write_text(f"t,u,j\n0,{row}\n1,{row}\n")
+    code, out, err = main_in_process(capsys, "simulate", "--schedule", str(path), "--steps", "50")
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: controls overflow in the Magnus step's node weighting\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -843,6 +855,29 @@ def test_alpha_whose_square_is_normal_keeps_the_ratio(capsys):
         assert ratio == pytest.approx(ratios["0.1"], rel=1e-15, abs=0), alpha
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("shortcut", "--profile", "fast", "--steps", "50", "--samples", "11"), 2),
+    (("entangle", "--state", "1,0,0,0,0,0"), 0),
+])
+def test_alpha_whose_square_overflows_is_treated_like_1e100(capsys, argv, code):
+    """alpha^2 overflows to infinity at 1e160 without raising: ``shortcut``
+    refuses it with the weak-pumping cap, as it does 1e100, and
+    ``entangle`` reports the metrics it reports at 1e100."""
+    runs = {alpha: main_in_process(capsys, *argv, "--alpha", alpha) for alpha in ("1e100", "1e160")}
+    for alpha, (got, out, err) in runs.items():
+        assert got == code, (alpha, err)
+        if code == 2:
+            assert out == "" and err.endswith("exceeds the weak-pumping cap 0.1\n")
+            assert len(err.splitlines()) == 1 and "Warning" not in err
+        else:
+            assert err == ""
+    if code == 0:
+        docs = [json.loads(out) for _, out, _ in runs.values()]
+        for doc in docs:
+            del doc["config_hash"]
+        assert docs[0] == docs[1]
+
+
 @pytest.mark.parametrize("argv, message", [
     (("shortcut", "--profile", "fast", "--T", "1e-300"), "schedule samples must be finite"),
     (("optimize", "--T", "5e-324", "--segments", "4", "--seeds", "1", "--max-iter", "3"),
@@ -855,24 +890,36 @@ def test_tiny_duration_is_refused_without_warnings(capsys, argv, message):
     assert (code, out, err) == (2, "", f"configuration error: {message}\n")
 
 
-PATH_WITHOUT_RNG = """
+SHORTCUT_PATH = """
 import contextlib, io, sys
 from bjjctrl import cli
 runs = (["duration", "--profile", "fast"],
         ["shortcut", "--profile", "fast", "--steps", "50", "--samples", "11", "--out", "trace.csv"],
-        ["simulate", "--schedule", "trace.csv", "--steps", "50"])
+        ["simulate", "--schedule", "trace.csv", "--steps", "50"],
+        ["entangle", "--state", "1,0,0,0,0,0", "--alpha", "0.1"])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
-print(codes, "numpy.random" in sys.modules)
+print(codes, [m for m in ("numpy.random", "_hashlib", "numpy.polynomial") if m in sys.modules])
 """
 
 
-def test_shortcut_path_never_imports_numpy_random(tmp_path):
-    """``numpy.random`` costs about 2.6 MB of resident memory; only the
-    optimiser's random starts need it, so the shortcut path stays without."""
-    proc = subprocess.run([sys.executable, "-c", PATH_WITHOUT_RNG], cwd=tmp_path,
+def test_shortcut_path_loads_no_rng_openssl_or_numpy_polynomial(tmp_path):
+    """Resident memory the commands without an optimiser do not need:
+    ``numpy.random`` (about 2.6 MB) serves only the optimiser's random
+    starts, ``_hashlib`` maps OpenSSL's libcrypto (about 3.6 MB) for one
+    config hash, and ``numpy.polynomial`` for two profile helpers."""
+    proc = subprocess.run([sys.executable, "-c", SHORTCUT_PATH], cwd=tmp_path,
                           capture_output=True, text=True, timeout=900, env=ENV)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0] False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0] []\n", "")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(st.binary(min_size=130, max_size=130), st.binary(max_size=1000))
+def test_sha256_matches_hashlib(head, data):
+    """Every length 0..130 (the padding edges at 55, 56, 63 and 64 bytes and
+    the third block) as prefixes of ``head``, and one longer message."""
+    for message in [head[:n] for n in range(131)] + [data]:
+        assert cli._sha256_hex(message) == hashlib.sha256(message).hexdigest()
 
 
 @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])

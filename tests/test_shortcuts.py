@@ -109,6 +109,31 @@ def piece_value(poly, piece, s, order=0):
     return polyval_d(poly.coeffs[piece], (s - lo) / (hi - lo), order) / (hi - lo) ** order
 
 
+def numpy_piecewise(poly, s, order):
+    """``poly(s, order)`` evaluated with ``numpy.polynomial`` on the same
+    pieces, whose ``polyder`` gives [0.0] for an order past the degree."""
+    idx = np.clip(np.searchsorted(poly.edges, s, side="right") - 1, 0, len(poly.coeffs) - 1)
+    out = np.empty(s.shape)
+    for i, c in enumerate(poly.coeffs):
+        lo, width = poly.edges[i], poly.edges[i + 1] - poly.edges[i]
+        c = npoly.polyder(np.asarray(c, dtype=float), m=order)
+        out[idx == i] = npoly.polyval((s[idx == i] - lo) / width, c) / width**order
+    return out
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(st.lists(st.floats(0.0, 1.0), max_size=40))
+def test_piecewise_poly_is_bit_equal_to_numpy_polynomial(points):
+    """Both reference profiles, at random s and every knot, for each order
+    from 0 to the longest piece's coefficient count + 1 (past a piece's
+    degree its zero branch runs)."""
+    for profile in (profile_original(), profile_fast()):
+        for poly in (profile.angle, profile.gap):
+            s = np.array(points + list(poly.edges))
+            for order in range(max(map(len, poly.coeffs)) + 2):
+                assert poly(s, order).tobytes() == numpy_piecewise(poly, s, order).tobytes()
+
+
 def flat_profile(angle_value=math.pi / 4.0, gap_value=1.0):
     """Boundary-free reference with constant angle and gap."""
     return ReferenceProfile(

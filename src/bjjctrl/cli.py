@@ -38,6 +38,7 @@ from .dynamics import (
     symmetric_preparation,
 )
 from .entanglement import (
+    MAX_NORMALIZED_CONCURRENCE,
     concurrence,
     dominant_trace,
     entanglement_exact,
@@ -339,6 +340,10 @@ def _run_trace(command, options, schedule, payload):
     )
     amps = traj.amplitudes
     conc = dominant_trace(amps) / alpha**2
+    peak = float(conc.max())
+    if peak > MAX_NORMALIZED_CONCURRENCE * (1.0 + 1e-12):
+        # no evolution, lossless or lossy, exceeds it: the propagation lost precision
+        raise FloatingPointError(f"peak C/alpha^2 {peak!r} exceeds the ceiling 1 + sqrt(2)")
     config_hash = _config_hash(options)
     if options["out"]:
         t = traj.times
@@ -353,7 +358,7 @@ def _run_trace(command, options, schedule, payload):
         _write_csv(options["out"], command, options, config_hash, _TRACE_HEADER,
                    _array_rows(table))
     payload["final_concurrence_norm"] = float(conc[-1])
-    payload["peak_concurrence_norm"] = float(conc.max())
+    payload["peak_concurrence_norm"] = peak
     _emit_json(command, config_hash, payload)
     return 0
 

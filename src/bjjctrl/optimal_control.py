@@ -32,8 +32,10 @@ reaches (1 - epsilon) of the ceiling" locates the minimum duration.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,6 +387,47 @@ def shortcut_seed(duration: float, segments: int, bounds: tuple[float, float]) -
     return ControlVector(u=u, j=j, duration=duration)
 
 
+def _uniform_start(seed: int, bounds: tuple[float, float], segments: int) -> np.ndarray:
+    """The random start of ``seed``, u then j uniform in [0, bounds): numpy's
+    ``default_rng(seed).uniform(0.0, bounds (as a column), (2, segments))``
+    bit for bit, so the starts stay fixed across numpy releases.  The seed's
+    32-bit words feed SeedSequence's 4-word pool, whose state seeds PCG64
+    (XSL-RR; O'Neill, HMC-CS-2014-0905); a draw's top 53 bits give [0, 1)."""
+    m32, m64, m128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+    seed = operator.index(seed)  # numpy integers too: Python ints do not wrap
+    words = [seed >> k & m32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const, hash_mult = 0x43B0D7E5, 0x931E8875  # SeedSequence's mix_entropy
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * hash_mult & m32
+        value = value * hash_const & m32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = 0xCA01F9DD * x - 0x4973F715 * y & m32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, hash_mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, uint64)
+    state = [hashmix(pool[i % 4]) for i in range(8)]
+    s0, s1, s2, s3 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((s2 << 64 | s3) << 1 | 1) & m128
+    pcg = ((inc + (s0 << 64 | s1)) * mult + inc) & m128
+    draws = np.empty(2 * segments)
+    for i in range(draws.size):
+        pcg = (pcg * mult + inc) & m128
+        x, rot = (pcg >> 64 ^ pcg) & m64, pcg >> 122
+        draws[i] = ((x >> rot | x << (64 - rot)) & m64) >> 11
+    return np.reshape(bounds, (2, 1)) * (draws.reshape(2, segments) * 2.0**-53)
+
+
 def maximize(
     duration: float,
     bounds: tuple[float, float],
@@ -400,11 +443,12 @@ def maximize(
 ) -> OptimizationResult:
     """Maximise C(T)/alpha^2 over bounded piecewise-constant controls.
 
-    Runs ``seeds`` random starts (uniform in the box, seeded from
-    ``base_seed``) plus one fast-shortcut-informed start plus any
-    ``extra_starts`` (each with ``segments`` segments), all ascending
-    together with projected gradients, and returns the best; ties go to
-    the earlier start.  The ascent stops as soon as some start reaches
+    Runs ``seeds`` random starts (uniform in the box; start i is the
+    SeedSequence-seeded PCG64 stream of numpy's ``default_rng(base_seed +
+    i)``, drawn by ``_uniform_start``) plus one fast-shortcut-informed start
+    plus any ``extra_starts`` (each with ``segments`` segments), all
+    ascending together with projected gradients, and returns the best; ties
+    go to the earlier start.  The ascent stops as soon as some start reaches
     ``target`` (stop reason "target").  The default is the ceiling
     ``MAX_NORMALIZED_CONCURRENCE`` less the ascent's flatness tolerance
     ``_FLAT_TOL`` (1e-10 relative): no preparation, frequency or loss rate
@@ -420,6 +464,8 @@ def maximize(
         raise ValueError("need at least one segment")
     if seeds < 0:
         raise ValueError("seeds must be >= 0")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     if not all(math.isfinite(b) and b >= 0.0 for b in bounds):
@@ -443,10 +489,9 @@ def maximize(
 
     # rows: the random starts (u, then j, per seed), the shortcut start,
     # then the extra starts
-    high = np.reshape(bounds, (2, 1))
     starts = np.empty((seeds + 1 + len(extra_starts), 2, segments))
     for i in range(seeds):
-        starts[i] = np.random.default_rng(base_seed + i).uniform(0.0, high, (2, segments))
+        starts[i] = _uniform_start(base_seed + i, bounds, segments)
     for row, cv in enumerate((shortcut_seed(duration, segments, bounds), *extra_starts), seeds):
         starts[row] = cv.u, cv.j
 

@@ -235,14 +235,19 @@ def profile_fast(s0: float = 0.9, s1: float = 0.2, s2: float = 0.8) -> Reference
 
 def _controls_on(profile: ReferenceProfile, duration: float, s: np.ndarray):
     """(U_I, J_I) sampled at scaled times s for a transfer of length T; a T
-    that overflows them gives non-finite controls, for the schedule types to refuse."""
+    that overflows them gives non-finite controls, for the schedule types to
+    refuse, and one whose square overflows raises ``FloatingPointError``."""
+    try:
+        duration_sq = duration**2
+    except OverflowError:
+        raise FloatingPointError(f"T = {duration!r} is too long: T^2 overflows") from None
     phi = profile.angle(s)
     e0 = profile.gap(s)
     sin = np.sin(phi)
     cos = np.cos(phi)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         dphi = profile.angle(s, 1) / duration
-        d2phi = profile.angle(s, 2) / duration**2
+        d2phi = profile.angle(s, 2) / duration_sq
         de0 = profile.gap(s, 1) / duration
         den = (e0 * sin) ** 2 + dphi**2
         num = e0 * e0 * e0 * sin**2 * cos + de0 * dphi * sin + e0 * (2.0 * dphi**2 * cos - d2phi * sin)

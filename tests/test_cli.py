@@ -458,6 +458,16 @@ def test_optimize_rejects_negative_seeds():
     assert "seeds" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--T", "3", "--seeds", "0"),
+    ("mintime", "--seeds", "1", "--segments", "4"),
+    ("sweep", "--T", "1:2:1", "--seeds", "1", "--segments", "4"),
+])
+def test_negative_base_seed_is_refused_by_name(capsys, argv):
+    code, out, err = main_in_process(capsys, *argv, "--base-seed", "-1")
+    assert (code, out, err) == (2, "", "configuration error: base_seed must be >= 0, got -1\n")
+
+
 def test_mintime_window():
     code, out, _ = run_cli("mintime", "--seeds", "6")
     assert code == 0
@@ -878,6 +888,23 @@ def test_alpha_whose_square_overflows_is_treated_like_1e100(capsys, argv, code):
         assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("duration, message", [
+    ("1e200", "T = 1e+200 is too long: T^2 overflows"),
+    ("1e50", "peak C/alpha^2 2.527513017248084 exceeds the ceiling 1 + sqrt(2)"),
+])
+def test_huge_shortcut_duration_fails_instead_of_passing_the_ceiling(capsys, tmp_path, duration, message):
+    """Phases of order T carry no significant bits at T = 1e50, and the
+    trace's concurrence passes the ceiling no evolution can exceed; at
+    1e200 T^2 overflows.  Both are numerical failures, and no CSV is written."""
+    out_csv = tmp_path / "trace.csv"
+    code, out, err = main_in_process(
+        capsys, "shortcut", "--profile", "fast", "--T", duration, "--steps", "50",
+        "--samples", "11", "--out", str(out_csv),
+    )
+    assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (("shortcut", "--profile", "fast", "--T", "1e-300"), "schedule samples must be finite"),
     (("optimize", "--T", "5e-324", "--segments", "4", "--seeds", "1", "--max-iter", "3"),
@@ -890,27 +917,31 @@ def test_tiny_duration_is_refused_without_warnings(capsys, argv, message):
     assert (code, out, err) == (2, "", f"configuration error: {message}\n")
 
 
-SHORTCUT_PATH = """
+EVERY_COMMAND = """
 import contextlib, io, sys
 from bjjctrl import cli
 runs = (["duration", "--profile", "fast"],
         ["shortcut", "--profile", "fast", "--steps", "50", "--samples", "11", "--out", "trace.csv"],
         ["simulate", "--schedule", "trace.csv", "--steps", "50"],
-        ["entangle", "--state", "1,0,0,0,0,0", "--alpha", "0.1"])
+        ["entangle", "--state", "1,0,0,0,0,0", "--alpha", "0.1"],
+        ["optimize", "--T", "3", "--segments", "4", "--seeds", "2", "--max-iter", "5"],
+        ["mintime", "--segments", "4", "--seeds", "1", "--max-iter", "5"],
+        ["sweep", "--T", "1:3:1", "--segments", "4", "--seeds", "1", "--max-iter", "5"])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
 print(codes, [m for m in ("numpy.random", "_hashlib", "numpy.polynomial") if m in sys.modules])
 """
 
 
-def test_shortcut_path_loads_no_rng_openssl_or_numpy_polynomial(tmp_path):
-    """Resident memory the commands without an optimiser do not need:
-    ``numpy.random`` (about 2.6 MB) serves only the optimiser's random
-    starts, ``_hashlib`` maps OpenSSL's libcrypto (about 3.6 MB) for one
-    config hash, and ``numpy.polynomial`` for two profile helpers."""
-    proc = subprocess.run([sys.executable, "-c", SHORTCUT_PATH], cwd=tmp_path,
+def test_no_command_loads_numpy_random_openssl_or_numpy_polynomial(tmp_path):
+    """Resident memory no command needs: ``numpy.random`` (about 5.4 MB,
+    3.5 MB of it for the ``secrets`` → ``hmac`` → ``_hashlib`` chain that
+    maps OpenSSL's libcrypto) would serve only the optimiser's random
+    starts, which draw its stream without it; ``hashlib`` would serve one
+    config hash, and ``numpy.polynomial`` two profile helpers."""
+    proc = subprocess.run([sys.executable, "-c", EVERY_COMMAND], cwd=tmp_path,
                           capture_output=True, text=True, timeout=900, env=ENV)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0] []\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0, 0, 0, 0] []\n", "")
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=20)

@@ -6,7 +6,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bjjctrl import (
@@ -518,6 +518,34 @@ def test_maximize_rejects_zero_segments():
 def test_maximize_rejects_negative_seeds():
     with pytest.raises(ValueError, match="seeds"):
         maximize(3.0, BOUNDS, segments=10, seeds=-1)
+
+
+@pytest.mark.parametrize("seeds", [0, 2])
+def test_maximize_rejects_negative_base_seed(seeds):
+    with pytest.raises(ValueError, match="base_seed must be >= 0, got -1"):
+        maximize(3.0, BOUNDS, segments=10, seeds=seeds, base_seed=-1)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    st.one_of(
+        st.just(0),
+        st.integers(1, 2**32 - 1),
+        st.integers(2**32, 2**128 - 1),
+        st.integers(2**128, 2**300),
+    ),
+    st.integers(1, 200),
+    st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1e300)) for _ in range(2)]),
+)
+@example(0, 100, (1.0, 0.25))
+@example(2**128, 1, (0.0, 0.25))
+def test_uniform_start_is_bit_equal_to_numpy_random(seed, n, bounds):
+    """The random starts are numpy's ``default_rng(seed).uniform`` stream
+    (SeedSequence, PCG64, 53-bit doubles), drawn without ``numpy.random``;
+    seeds of one, several (at or above 2^32) and more than four 32-bit words
+    (at or above 2^128) take each of SeedSequence's entropy paths."""
+    want = np.random.default_rng(seed).uniform(0.0, np.reshape(bounds, (2, 1)), (2, n))
+    assert optimal_control._uniform_start(seed, bounds, n).tobytes() == want.tobytes()
 
 
 def test_maximize_rejects_negative_max_iter():

@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _csvfloat
 from .dynamics import (
     ControlSchedule,
     ControlVector,
@@ -284,29 +285,29 @@ def _build_profile(options):
     return fast if options["profile"] == "fast" else profile_original()
 
 
-def _write_csv(path, command, options, config_hash, header, rows):
-    """Metadata comments, the header, then one line per row, streamed.
+def _write_csv(path, command, options, config_hash, header, columns):
+    """Metadata comments, the header, then one line per row.
 
-    Rows hold Python ints and floats (not numpy scalars, whose repr names
-    the type); repr round-trips a float exactly, so written schedules
-    replay.  No field needs quoting, so the lines are the bytes
-    ``csv.writer`` writes for the same rows.  ``config_hash`` is
+    ``columns`` are equal-length columns of ints or floats (int64 or
+    float64 arrays, or lists of Python numbers), one per header name.  Each
+    field is the text ``repr`` gives the number (shortest round-trip for a
+    float, so written schedules replay bit for bit), built block by block
+    by ``_csvfloat.csv_rows``; a non-finite float is a ``FloatingPointError``
+    before the file is opened.  No field needs quoting, so the lines are
+    the bytes ``csv.writer`` writes for the same rows.  ``config_hash`` is
     ``_config_hash(options)``, which the command's JSON carries too.
     """
-    with open(path, "w", newline="") as f:
-        f.write(f"# version={__version__}\n")
-        f.write(f"# command={command}\n")
-        f.write(f"# config_hash={config_hash}\n")
-        f.write(f"# config={_config_text(options)}\n")
-        f.write(",".join(header) + "\r\n")
-        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
-
-
-def _array_rows(table, block=1024):
-    """Rows of a 2-d array as lists of Python floats, converted one block at
-    a time: a 10k-row trace never exists as Python objects all at once."""
-    for start in range(0, len(table), block):
-        yield from table[start : start + block].tolist()
+    rows = _csvfloat.csv_rows(columns)
+    try:
+        f = open(path, "wb")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None
+    with f:
+        f.write(
+            f"# version={__version__}\n# command={command}\n# config_hash={config_hash}\n"
+            f"# config={_config_text(options)}\n{','.join(header)}\r\n".encode()
+        )
+        f.writelines(rows)
 
 
 def _emit_json(command, config_hash, payload):
@@ -345,20 +346,18 @@ def _run_trace(command, options, schedule, payload):
         # no evolution, lossless or lossy, exceeds it: the propagation lost precision
         raise FloatingPointError(f"peak C/alpha^2 {peak!r} exceeds the ceiling 1 + sqrt(2)")
     config_hash = _config_hash(options)
+    payload["final_concurrence_norm"] = float(conc[-1])
+    payload["peak_concurrence_norm"] = peak
     if options["out"]:
         t = traj.times
         u, j = schedule.controls_at(t)
         norm_complex = (amps[:, 3] - amps[:, 1] * amps[:, 2]) / alpha**2
         one, two = traj.manifold_populations()
         decay = np.exp(-kappa * t + 0j).real  # rounds alike at every SIMD level
-        table = np.column_stack((
-            t, u, j, norm_complex.real, norm_complex.imag, conc,
-            np.abs(one - one[0] * decay), np.abs(two - two[0] * decay * decay),
-        ))
-        _write_csv(options["out"], command, options, config_hash, _TRACE_HEADER,
-                   _array_rows(table))
-    payload["final_concurrence_norm"] = float(conc[-1])
-    payload["peak_concurrence_norm"] = peak
+        columns = (t, u, j, norm_complex.real, norm_complex.imag, conc,
+                   np.abs(one - one[0] * decay), np.abs(two - two[0] * decay * decay))
+        del traj, amps, one, two  # the amplitudes are the largest array: write without them
+        _write_csv(options["out"], command, options, config_hash, _TRACE_HEADER, columns)
     _emit_json(command, config_hash, payload)
     return 0
 
@@ -376,9 +375,8 @@ def cmd_duration(options) -> int:
     config_hash = _config_hash(options)
     if options["out"]:
         durations = np.append(duration_grid(lo, hi, step), root)
-        lhs = duration_lhs(profile, durations)
-        rows = zip(durations.tolist(), lhs.tolist())
-        _write_csv(options["out"], "duration", options, config_hash, ["T", "lhs"], rows)
+        _write_csv(options["out"], "duration", options, config_hash, ["T", "lhs"],
+                   (durations, duration_lhs(profile, durations)))
     _emit_json("duration", config_hash, {"root": root, "profile": options["profile"]})
     return 0
 
@@ -474,13 +472,10 @@ def cmd_optimize(options) -> int:
     )
     config_hash = _config_hash(options)
     if options["out"]:
-        dt = duration / res.best.segments
-        rows = [
-            (k, float(k * dt), float(res.best.u[k]), float(res.best.j[k]))
-            for k in range(res.best.segments)
-        ]
+        k = np.arange(res.best.segments)
         _write_csv(options["out"], "optimize", options, config_hash,
-                   ["segment", "t_start", "u", "j"], rows)
+                   ["segment", "t_start", "u", "j"],
+                   (k, k * (duration / res.best.segments), res.best.u, res.best.j))
     _emit_json("optimize", config_hash, {
         "T": duration,
         "objective": res.objective,
@@ -521,13 +516,11 @@ def cmd_sweep(options) -> int:
     )
     config_hash = _config_hash(options)
     if options["out"]:
-        rows = [
-            (float(c.kappa), float(t), float(v))
-            for c in curves
-            for t, v in zip(c.durations, c.objectives)
-        ]
-        _write_csv(options["out"], "sweep", options, config_hash,
-                   ["kappa", "T", "objective"], rows)
+        _write_csv(options["out"], "sweep", options, config_hash, ["kappa", "T", "objective"], (
+            np.concatenate([np.full(len(c.durations), c.kappa, float) for c in curves]),
+            np.concatenate([c.durations for c in curves]),
+            np.concatenate([c.objectives for c in curves]),
+        ))
     summary = {
         f"argmax_T_kappa_{c.kappa:g}": float(c.durations[int(np.argmax(c.objectives))])
         for c in curves
@@ -570,7 +563,11 @@ def cmd_entangle(options) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: ``main``
+    called in process reuses it instead of leaving a parser's reference
+    cycles to the garbage collector on every call."""
     parser = argparse.ArgumentParser(
         prog="bjjctrl",
         description="Entanglement-maximising control synthesis for a weakly "

@@ -40,6 +40,11 @@ from .dynamics import SQRT2, ControlSchedule
 #: Peak reference gap; the unit of energy throughout.
 E0_MAX = 1.0
 
+#: Finest phase, in radians, that a shortcut's duration must resolve: one
+#: ulp of T times the peak gap, the spacing of the phases E0 t near t = T.
+#: Up to T < 2^23 (about 8.4e6 / E0_MAX) it is at most 2^-30 (about 9.3e-10).
+PHASE_TOLERANCE = 1e-9
+
 _HALF_PI = math.pi / 2.0
 
 #: Durations per (T x s) block of the phase condition; a block of 8 rows
@@ -269,7 +274,10 @@ def counterdiabatic_controls(
     ----------
     profile : ReferenceProfile
     duration : float
-        Transfer time T, finite and > 0.
+        Transfer time T, finite and > 0.  Phases of order E0 T resolve only
+        to ulp(T) * E0_MAX; a T whose ulp(T) * E0_MAX exceeds
+        ``PHASE_TOLERANCE`` (T >= 2^23) raises ``FloatingPointError``, since
+        the phases, controls and trace would carry no significant bits.
     samples : int
         Sample count of the emitted schedule (uniform grid on [0, T]).
 
@@ -277,6 +285,11 @@ def counterdiabatic_controls(
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be finite and positive, got {duration!r}")
+    if math.ulp(duration) * E0_MAX > PHASE_TOLERANCE:
+        raise FloatingPointError(
+            f"T = {duration!r} is too long: its phases resolve to ulp(T) * E0 = "
+            f"{math.ulp(duration) * E0_MAX:.3g} rad, above {PHASE_TOLERANCE:g}"
+        )
     if samples < 2:
         raise ValueError("need at least two schedule samples")
     s = np.linspace(0.0, 1.0, samples)
@@ -319,7 +332,8 @@ def _lhs_block(table: list, durations: np.ndarray) -> np.ndarray:
         if flat is not None:
             total += flat
             continue
-        val = 0.5 * (e0_cos + np.sqrt(e0_sin_sq + (rate / per_t) ** 2) - e0)
+        with np.errstate(over="ignore"):  # phi'/T overflows at tiny T: refused below
+            val = 0.5 * (e0_cos + np.sqrt(e0_sin_sq + (rate / per_t) ** 2) - e0)
         if not np.all(np.isfinite(val)):
             raise FloatingPointError("non-finite phase-condition integrand")
         total += simpson_uniform(val, dx)

@@ -1,17 +1,20 @@
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bjjctrl
@@ -346,7 +349,7 @@ def test_sampled_schedule_replays_bit_equal_property(columns):
     times, u and j."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "schedule.csv")
-        cli._write_csv(path, "shortcut", {}, cli._config_hash({}), ["t", "u", "j"], zip(*columns))
+        cli._write_csv(path, "shortcut", {}, cli._config_hash({}), ["t", "u", "j"], columns)
         loaded = cli._load_schedule(path)
     assert type(loaded) is ControlSchedule
     for got, want in zip((loaded.times, loaded.u, loaded.j), columns):
@@ -888,14 +891,20 @@ def test_alpha_whose_square_overflows_is_treated_like_1e100(capsys, argv, code):
         assert docs[0] == docs[1]
 
 
-@pytest.mark.parametrize("duration, message", [
-    ("1e200", "T = 1e+200 is too long: T^2 overflows"),
-    ("1e50", "peak C/alpha^2 2.527513017248084 exceeds the ceiling 1 + sqrt(2)"),
+@pytest.mark.parametrize("duration, ulp", [
+    pytest.param(duration, ulp, id=duration) for duration, ulp in (
+        ("1e200", "1.7e+184"), ("1e150", "1.82e+134"), ("1e100", "1.94e+84"),
+        ("1e50", "2.08e+34"), ("1e30", "1.41e+14"), ("8388608", "1.86e-09"),
+    )
 ])
-def test_huge_shortcut_duration_fails_instead_of_passing_the_ceiling(capsys, tmp_path, duration, message):
-    """Phases of order T carry no significant bits at T = 1e50, and the
-    trace's concurrence passes the ceiling no evolution can exceed; at
-    1e200 T^2 overflows.  Both are numerical failures, and no CSV is written."""
+def test_huge_shortcut_duration_fails_instead_of_passing_the_ceiling(capsys, tmp_path, duration, ulp):
+    """Phases of order T carry no significant bits at T = 1e30 and above:
+    the trace's concurrence passed the ceiling no evolution can exceed at
+    1e50 and stayed below it, wrong, at 1e30, 1e100 and 1e150, and T^2
+    overflowed at 1e200.  Every T from 2^23 up, where ulp(T) * E0 passes
+    1e-9 rad, is a numerical failure, and no CSV is written."""
+    message = (f"T = {float(duration)!r} is too long: its phases resolve to ulp(T) * E0 = "
+               f"{ulp} rad, above 1e-09")
     out_csv = tmp_path / "trace.csv"
     code, out, err = main_in_process(
         capsys, "shortcut", "--profile", "fast", "--T", duration, "--steps", "50",
@@ -1089,3 +1098,65 @@ def test_config_hash_of_flag_runs_is_pinned(monkeypatch, capsys, argv, config_ha
     code, out, _ = main_in_process(capsys, *argv)
     assert code == 0
     assert json.loads(out)["config_hash"] == config_hash
+
+
+# ---------------------------------------------------------------------------
+# the command-line contract over option texts
+
+#: Option texts: non-finite, signed, zero, subnormal, tiny and huge numbers,
+#: empty and non-numeric text, good and bad lists and grids, and a
+#: directory (as a path to read or write).
+OPTION_TEXTS = ["nan", "inf", "-inf", "-1", "0", "3", "5e-324", "1e-300", "1e300", "", "abc",
+                "1,0.25", "0,0.05", "0.9,0.2,0.8", "1,,2", "1,2,3", "1:2:0.5", "2:1:0.5", "1:2:0", "."]
+
+#: Each command with the options that keep a run small (the drawn options
+#: come after, so they win); every size option drawn is one of
+#: ``OPTION_TEXTS``, so at most 3.
+CONTRACT_BASES = {
+    "duration": ("--profile", "fast"),
+    "shortcut": ("--profile", "fast", "--steps", "20", "--samples", "11"),
+    "simulate": ("--schedule", "schedule.csv", "--steps", "20"),
+    "optimize": ("--T", "3", "--segments", "4", "--seeds", "1", "--max-iter", "5"),
+    "mintime": ("--segments", "4", "--seeds", "1", "--max-iter", "5"),
+    "sweep": ("--T", "1:2:0.5", "--segments", "4", "--seeds", "1", "--max-iter", "5"),
+    "entangle": ("--state", "1,0,0,0,0,0"),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(CONTRACT_BASES)))
+    keys = sorted(cli._COMMANDS[command][1]) + ["config"]
+    drawn = draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(OPTION_TEXTS)),
+                          max_size=3))
+    return [command, *CONTRACT_BASES[command],
+            *(f"{cli._flag(key) if key != 'config' else '--config'}={text}" for key, text in drawn)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(command_lines())
+@example(["duration", "--profile", "fast", "--grid-min=5e-324"])  # phi'/T overflowed, warning
+@example(["shortcut", *CONTRACT_BASES["shortcut"], "--out=."])  # a traceback, exit 1
+def test_any_option_text_exits_0_2_or_3_with_one_error_line(argv):
+    """Every command, whatever text its options get: exit 0, 2 or 3; a
+    refusal prints one error line (after argparse's usage block, for a
+    flag argparse refuses) and nothing on stdout; and no warning."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        os.chdir(tmp)
+        try:
+            Path("schedule.csv").write_text("t,u,j\n0,0.5,0.1\n1,0.5,0.1\n")
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert not [str(w.message) for w in caught], argv
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if code:
+        lines = err.getvalue().splitlines()
+        message = [line for line in lines if not line.startswith(("usage:", " "))]
+        assert len(message) == 1 and out.getvalue() == "", (argv, lines)

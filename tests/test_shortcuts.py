@@ -306,9 +306,11 @@ def test_angle_solver_rejects_bad_knots():
 
 def test_fast_profile_validates_knots():
     for knots in ((1.2, 0.2, 0.8), (0.0, 0.2, 0.8), (1.0, 0.2, 0.8), (-0.2, 0.2, 0.8),
-                  (math.nan, 0.2, 0.8), (0.9, 0.8, 0.2), (0.9, 0.0, 0.8), (0.9, 0.2, 1.0),
-                  (0.9, 0.5, 0.5)):
-        with pytest.raises(ValueError):
+                  (math.nan, 0.2, 0.8)):
+        with pytest.raises(ValueError, match=r"s0 must lie strictly inside \(0, 1\)"):
+            profile_fast(*knots)
+    for knots in ((0.9, 0.8, 0.2), (0.9, 0.0, 0.8), (0.9, 0.2, 1.0), (0.9, 0.5, 0.5)):
+        with pytest.raises(ValueError, match="knots must satisfy 0 < s1 < s2 < 1"):
             profile_fast(*knots)
 
 
@@ -375,6 +377,17 @@ def test_counterdiabatic_controls_validation(fast_profile):
     for duration in (math.inf, math.nan):
         with pytest.raises(ValueError, match="duration must be finite and positive"):
             counterdiabatic_controls(fast_profile, duration)
+
+
+def test_duration_cap_is_the_phase_tolerance(fast_profile):
+    """The longest shortcut is the last T below 2^23, whose ulp times the
+    peak gap is 2^-30 rad; from 2^23 on the ulp is 2^-29, past 1e-9."""
+    longest = math.nextafter(2.0**23, 0.0)
+    assert math.ulp(longest) * shortcuts.E0_MAX <= shortcuts.PHASE_TOLERANCE
+    schedule, _ = counterdiabatic_controls(fast_profile, longest, samples=3)
+    assert schedule.duration == longest
+    with pytest.raises(FloatingPointError, match=r"T = 8388608.0 is too long"):
+        counterdiabatic_controls(fast_profile, 2.0**23, samples=3)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .entanglement import (
 )
 from .shortcuts import (
     ReferenceProfile,
+    ShortcutControls,
     TransferPhases,
     counterdiabatic_controls,
     duration_lhs,

@@ -50,6 +50,7 @@ from .shortcuts import (
     counterdiabatic_controls,
     duration_grid,
     duration_lhs,
+    phases,
     profile_fast,
     profile_original,
     solve_duration,
@@ -109,7 +110,6 @@ _COMMANDS = {
         "omega": _Opt(float, 0.0),
         "t": _Opt(float, None, "duration; omit to auto-solve"),
         "steps": _Opt(int, 10_000),
-        "samples": _Opt(int, 4001),
         "out": _OUT,
     }),
     "simulate": ("propagate a schedule from CSV", {
@@ -329,11 +329,11 @@ _TRACE_HEADER = [
 ]
 
 
-def _run_trace(command, options, schedule, payload):
+def _run_trace(command, options, schedule, summary):
     """Propagate the symmetric preparation along ``schedule`` for
     ``shortcut`` and ``simulate``: the trace, one row per sample with the
-    ``_TRACE_HEADER`` columns, goes to ``--out`` (and is built only then),
-    and ``payload`` plus the final and peak C/alpha^2 to stdout."""
+    ``_TRACE_HEADER`` columns, goes to ``--out`` (built only then), and the
+    final and peak C/alpha^2, with ``summary()`` taken after them, to stdout."""
     alpha, kappa = options["alpha"], options["kappa"]
     traj = propagate(
         initial_state(symmetric_preparation(alpha)), schedule,
@@ -346,8 +346,7 @@ def _run_trace(command, options, schedule, payload):
         # no evolution, lossless or lossy, exceeds it: the propagation lost precision
         raise FloatingPointError(f"peak C/alpha^2 {peak!r} exceeds the ceiling 1 + sqrt(2)")
     config_hash = _config_hash(options)
-    payload["final_concurrence_norm"] = float(conc[-1])
-    payload["peak_concurrence_norm"] = peak
+    payload = dict(summary(), final_concurrence_norm=float(conc[-1]), peak_concurrence_norm=peak)
     if options["out"]:
         t = traj.times
         u, j = schedule.controls_at(t)
@@ -384,9 +383,9 @@ def cmd_duration(options) -> int:
 def cmd_shortcut(options) -> int:
     profile = _build_profile(options)
     duration = options["t"] if options["t"] is not None else solve_duration(profile)
-    schedule, record = counterdiabatic_controls(profile, duration, options["samples"])
-    return _run_trace("shortcut", options, schedule,
-                      {"T": duration, "theta": record.theta, "zeta": record.zeta})
+    # the phases come after the trace, whose controls refuse a T too short to be finite
+    return _run_trace("shortcut", options, counterdiabatic_controls(profile, duration),
+                      lambda: {"T": duration, **vars(phases(profile, duration))})
 
 
 #: Leading header names of the schedule CSVs ``simulate`` replays: sampled
@@ -457,7 +456,7 @@ def _segment_schedule(segment, t_start, u, j, config) -> ControlVector:
 
 def cmd_simulate(options) -> int:
     schedule = _load_schedule(options["schedule"])
-    return _run_trace("simulate", options, schedule, {"T": schedule.duration})
+    return _run_trace("simulate", options, schedule, lambda: {"T": schedule.duration})
 
 
 def cmd_optimize(options) -> int:

@@ -26,8 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .shortcuts import ShortcutControls
 
 SQRT2 = math.sqrt(2.0)
 
@@ -141,8 +145,8 @@ def symmetric_preparation(alpha: float) -> InitialPreparation:
 # ambiguous.
 @dataclass(frozen=True, eq=False)
 class ControlSchedule:
-    """Sampled controls (t, U, J) on [0, T]; values between samples are
-    linearly interpolated."""
+    """Sampled controls (t, U, J) on [0, T], as ``simulate`` reads them
+    from a t,u,j file; values between samples are linearly interpolated."""
 
     times: np.ndarray
     u: np.ndarray
@@ -173,10 +177,6 @@ class ControlSchedule:
     def controls_at(self, t):
         """Linearly interpolated (U, J) at time(s) t."""
         return np.interp(t, self.times, self.u), np.interp(t, self.times, self.j)
-
-    @classmethod
-    def constant(cls, u: float, j: float, duration: float) -> "ControlSchedule":
-        return cls(np.array([0.0, duration]), np.array([u, u]), np.array([j, j]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,10 +226,6 @@ class Trajectory:
 
     def state(self, i: int) -> TruncatedState:
         return TruncatedState.from_array(self.amplitudes[i])
-
-    @property
-    def final(self) -> TruncatedState:
-        return self.state(-1)
 
     def manifold_populations(self) -> tuple[np.ndarray, np.ndarray]:
         """(|c10|^2+|c01|^2, |c20|^2+|c11|^2+|c02|^2) along the trajectory.
@@ -345,10 +341,10 @@ def _one_quantum(theta, turn, v):
 
 
 def _cf4(schedule, tgrid):
-    """The sampled ``schedule`` as piecewise-constant controls, two equal
-    segments per step of ``tgrid``: the 4th-order commutator-free Magnus
-    step CF4:2 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006);
-    Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).
+    """The controls ``schedule``, read at the Gauss nodes of each step of
+    ``tgrid``, as two equal constant-control segments per step: the 4th-order
+    commutator-free Magnus step CF4:2 (Blanes & Moan, Appl. Numer. Math. 56,
+    1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).
 
     With the generators A1, A2 at the Gauss nodes t + (1/2 -+ sqrt(3)/6) h,
     a step is exp(h (a1 A1 + a2 A2)) exp(h (a2 A1 + a1 A2)), with
@@ -405,7 +401,7 @@ def _exact(cv, k, offset, tgrid, omega_eff, out):
 
 def propagate(
     state: TruncatedState,
-    schedule: ControlSchedule | ControlVector,
+    schedule: ControlVector | ControlSchedule | ShortcutControls,
     params: JunctionParams,
     steps: int = 10_000,
 ) -> Trajectory:
@@ -414,9 +410,10 @@ def propagate(
     at a time by ``_exact``.
 
     Piecewise-constant ``ControlVector`` controls are propagated exactly,
-    up to floating point, whatever ``steps``.  A sampled ``ControlSchedule``
-    (U and J linearly interpolated between samples) takes one 4th-order
-    commutator-free Magnus step ``_cf4`` per step: two constant-control
+    up to floating point, whatever ``steps``.  Any other controls, a
+    shortcut's closed-form ``ShortcutControls`` or a ``ControlSchedule``
+    sampled from a t,u,j file, take one 4th-order commutator-free Magnus
+    step ``_cf4`` per step, read at its Gauss nodes: two constant-control
     segments, run exactly, so every step is unitary up to the loss factor
     and each sample is the state at a segment edge.  ``params`` holds the
     frequency and loss rate.  Raises FloatingPointError (and warns of

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import SQRT2, ControlSchedule
+from .dynamics import SQRT2
 
 #: Peak reference gap; the unit of energy throughout.
 E0_MAX = 1.0
@@ -239,8 +239,8 @@ def profile_fast(s0: float = 0.9, s1: float = 0.2, s2: float = 0.8) -> Reference
 
 
 def _controls_on(profile: ReferenceProfile, duration: float, s: np.ndarray):
-    """(U_I, J_I) sampled at scaled times s for a transfer of length T; a T
-    that overflows them gives non-finite controls, for the schedule types to
+    """(U_I, J_I) at scaled times s for a transfer of length T; a T that
+    overflows them gives non-finite controls, for ``ShortcutControls`` to
     refuse, and one whose square overflows raises ``FloatingPointError``."""
     try:
         duration_sq = duration**2
@@ -265,23 +265,31 @@ def _controls_on(profile: ReferenceProfile, duration: float, s: np.ndarray):
     return u, j
 
 
-def counterdiabatic_controls(
-    profile: ReferenceProfile, duration: float, samples: int = 4001
-) -> tuple[ControlSchedule, TransferPhases]:
-    """Implementable control schedule (U_I, J_I) for the given profile.
+@dataclass(frozen=True)
+class ShortcutControls:
+    """The counterdiabatic controls of ``profile`` over [0, T], T = ``duration``,
+    evaluated by ``controls_at`` in closed form at exactly the times asked
+    for: the Gauss nodes of ``propagate``'s Magnus step, a trace's rows."""
 
-    Parameters
-    ----------
-    profile : ReferenceProfile
-    duration : float
-        Transfer time T, finite and > 0.  Phases of order E0 T resolve only
-        to ulp(T) * E0_MAX; a T whose ulp(T) * E0_MAX exceeds
-        ``PHASE_TOLERANCE`` (T >= 2^23) raises ``FloatingPointError``, since
-        the phases, controls and trace would carry no significant bits.
-    samples : int
-        Sample count of the emitted schedule (uniform grid on [0, T]).
+    profile: ReferenceProfile
+    duration: float
 
-    Returns the schedule together with the transfer phases of the run.
+    def controls_at(self, t):
+        """(U_I, J_I) at time(s) t; controls a tiny T overflows raise ValueError."""
+        u, j = _controls_on(self.profile, self.duration, np.asarray(t) / self.duration)
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(j))):
+            raise ValueError("schedule samples must be finite")
+        return u, j
+
+
+def counterdiabatic_controls(profile: ReferenceProfile, duration: float) -> ShortcutControls:
+    """The controls (U_I, J_I) of a shortcut along ``profile`` lasting T;
+    its transfer phases are ``phases(profile, T)``.
+
+    T must be finite and > 0.  Phases of order E0 T resolve only to
+    ulp(T) * E0_MAX; a T whose ulp(T) * E0_MAX exceeds ``PHASE_TOLERANCE``
+    (T >= 2^23) raises ``FloatingPointError``, since the phases, controls
+    and trace would carry no significant bits.
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be finite and positive, got {duration!r}")
@@ -290,12 +298,7 @@ def counterdiabatic_controls(
             f"T = {duration!r} is too long: its phases resolve to ulp(T) * E0 = "
             f"{math.ulp(duration) * E0_MAX:.3g} rad, above {PHASE_TOLERANCE:g}"
         )
-    if samples < 2:
-        raise ValueError("need at least two schedule samples")
-    s = np.linspace(0.0, 1.0, samples)
-    u, j = _controls_on(profile, duration, s)
-    schedule = ControlSchedule(times=s * duration, u=u, j=j)
-    return schedule, phases(profile, duration, schedule)
+    return ShortcutControls(profile, duration)
 
 
 def simpson_uniform(y, dx):
@@ -413,24 +416,22 @@ def estimate_min_duration() -> float:
     return 2.0 * math.pi / (SQRT2 - 1.0)
 
 
-def phases(
-    profile: ReferenceProfile,
-    duration: float,
-    schedule: ControlSchedule | None = None,
-) -> TransferPhases:
+def phases(profile: ReferenceProfile, duration: float) -> TransferPhases:
     """Transfer phases for a shortcut of length T.
 
     theta = Int (E0/2)(1 - cos phi) dt and zeta = 2 Int J_I dt, summed on
     the node table of ``duration_lhs``; at the solved duration
-    theta - zeta = -pi (mod 2 pi).  A schedule from
-    ``counterdiabatic_controls`` may be passed; it must span T.
+    theta - zeta = -pi (mod 2 pi).  A T so short that phi'/T overflows
+    raises ``FloatingPointError``, as ``duration_lhs`` does.
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be finite and positive, got {duration!r}")
-    if schedule is not None and abs(schedule.duration - duration) > 1e-9 * max(1.0, duration):
-        raise ValueError("schedule duration does not match T")
     theta = zeta = 0.0
     for e0_cos, e0_sin_sq, e0, rate, dx, _ in profile.nodes:
         theta += simpson_uniform(0.5 * (e0 - e0_cos), dx)
-        zeta += simpson_uniform(np.sqrt(e0_sin_sq + (rate / duration) ** 2) / 4.0, dx)
+        with np.errstate(over="ignore"):  # phi'/T overflows at tiny T: refused below
+            j_i = np.sqrt(e0_sin_sq + (rate / duration) ** 2) / 4.0
+        if not np.all(np.isfinite(j_i)):
+            raise FloatingPointError("non-finite phase-condition integrand")
+        zeta += simpson_uniform(j_i, dx)
     return TransferPhases(float(duration * theta), float(2.0 * duration * zeta))

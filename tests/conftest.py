@@ -5,6 +5,7 @@ from bjjctrl import (
     JunctionParams,
     counterdiabatic_controls,
     initial_state,
+    phases,
     profile_fast,
     profile_original,
     propagate,
@@ -21,11 +22,12 @@ class ShortcutRun:
     def __init__(self, profile):
         self.profile = profile
         self.duration = solve_duration(profile)
-        self.schedule, self.record = counterdiabatic_controls(profile, self.duration)
+        self.controls = counterdiabatic_controls(profile, self.duration)
+        self.record = phases(profile, self.duration)
         self.alpha = ALPHA
         self.prep = symmetric_preparation(ALPHA)
         self.trajectory = propagate(
-            initial_state(self.prep), self.schedule, JunctionParams(), steps=10_000
+            initial_state(self.prep), self.controls, JunctionParams(), steps=10_000
         )
 
 

@@ -86,13 +86,13 @@ def test_criterion_3_shortcut_delivery(run_name, omega, request):
     a2 = run.alpha**2
     t0 = time.monotonic()
     traj = propagate(
-        initial_state(run.prep), run.schedule, JunctionParams(omega=omega),
+        initial_state(run.prep), run.controls, JunctionParams(omega=omega),
         steps=10_000,
     )
     elapsed = time.monotonic() - t0
-    fin = traj.final
+    fin = traj.state(-1)
     norm_conc = 2.0 * abs(fin.c11 - fin.c10 * fin.c01) / a2
-    rec = phases(run.profile, run.duration, run.schedule)
+    rec = phases(run.profile, run.duration)
     wrapped = (rec.theta - rec.zeta + math.pi) % (2.0 * math.pi) - math.pi
     phase_err = min(abs(wrapped - math.pi), abs(wrapped + math.pi))
     OBSERVED.append(dominant_trace(traj.amplitudes).max() / a2)
@@ -118,8 +118,8 @@ def test_criterion_4_conservation(original_run, fast_run):
         drifts.append(np.max(np.abs(one - one[0])))
         drifts.append(np.max(np.abs(two - two[0])))
     state0 = initial_state(fast_run.prep)
-    base = propagate(state0, fast_run.schedule, JunctionParams(0.0), steps=10_000)
-    shifted = propagate(state0, fast_run.schedule, JunctionParams(0.25), steps=10_000)
+    base = propagate(state0, fast_run.controls, JunctionParams(0.0), steps=10_000)
+    shifted = propagate(state0, fast_run.controls, JunctionParams(0.25), steps=10_000)
     gauge_err = np.max(
         np.abs(dominant_trace(base.amplitudes) - dominant_trace(shifted.amplitudes))
     )
@@ -139,10 +139,11 @@ def test_criterion_5_oracle_equivalence():
         params = JunctionParams(rng.uniform(-0.5, 0.5), rng.choice([0.0, 0.08]))
         duration = rng.uniform(0.2, 2.5)
         traj = propagate(
-            state, ControlSchedule.constant(u, j, duration), params, steps=3000
+            state, ControlSchedule(np.array([0.0, duration]), np.full(2, u), np.full(2, j)),
+            params, steps=3000,
         )
-        want = propagate(state, ControlVector([u], [j], duration), params, steps=1).final
-        worst = max(worst, np.max(np.abs(traj.final.as_array() - want.as_array())))
+        want = propagate(state, ControlVector([u], [j], duration), params, steps=1).state(-1)
+        worst = max(worst, np.max(np.abs(traj.state(-1).as_array() - want.as_array())))
     ok = worst <= 1e-9
     report(5, ok, f"max componentwise error={worst:.2e} over 100 instances")
 
@@ -155,7 +156,7 @@ def test_criterion_6_entanglement_metrics(fast_run):
     )
 
     # exact entropy vs the concurrence formula near the maximum
-    fin = fast_run.trajectory.final
+    fin = fast_run.trajectory.state(-1)
     exact = entanglement_exact(fin).entropy
     approx = entanglement_of_concurrence(concurrence(fin).dominant)
     entropy_gap = abs(exact - approx)
@@ -165,7 +166,7 @@ def test_criterion_6_entanglement_metrics(fast_run):
     for alpha in (0.2, 0.1, 0.05):
         traj = propagate(
             initial_state(symmetric_preparation(alpha)),
-            fast_run.schedule,
+            fast_run.controls,
             JunctionParams(),
             steps=2000,
         )
@@ -193,7 +194,7 @@ def test_criterion_7_dissipation(fast_run):
     peaks = []
     for kappa in (0.0, 0.01, 0.05, 0.1):
         run = propagate(
-            initial_state(fast_run.prep), fast_run.schedule, JunctionParams(0.0, kappa), steps=10_000
+            initial_state(fast_run.prep), fast_run.controls, JunctionParams(0.0, kappa), steps=10_000
         )
         lossy = dominant_trace(run.amplitudes)
         worst = max(worst, np.max(np.abs(lossy - lossless * np.exp(-kappa * times))))

@@ -207,8 +207,7 @@ def test_shortcut_rejects_non_finite_duration(duration):
 def test_simulate_roundtrip(tmp_path):
     sched_file = tmp_path / "controls.csv"
     code, out, _ = run_cli(
-        "shortcut", "--profile", "fast", "--steps", "100",
-        "--samples", "2001", "--out", str(sched_file),
+        "shortcut", "--profile", "fast", "--steps", "100", "--out", str(sched_file),
     )
     assert code == 0
     solved = json.loads(out)["T"]
@@ -587,10 +586,10 @@ def test_optimiser_commands_reject_invalid_bounds(capsys, argv, bounds):
 #: part of simulate's config line, so the runs share one directory.
 CSV_SHA256 = [
     (("shortcut", "--profile", "fast", "--steps", "200", "--out", "shortcut.csv"),
-     "fbcbe035291647970068606d407951d1a308cd3ee6a2b5e68fe6d53c125d2ef4",
-     "920d1efe28049afb22a559913f61872a49d9195bb7102727e3a7c202da29f953"),
+     "9f4c876f3ffbeca7b4a27b442d43a10af9497d22227773f6729cf3c00284f2b9",
+     "83a8cbf9cc2dad0ed40577c6465b57b4edd078b776424647a8fb0a0829376335"),
     (("simulate", "--schedule", "shortcut.csv", "--steps", "200", "--out", "simulate.csv"),
-     "c61a06fc6cdf95dd62f45f61bbfbb395abed2032c42309c468b8cbfbd3fb1562",
+     "5c9d191a64c29a1c58df6813f8c17ddb893799ac6ee371204fe23dd73dfc8f7d",
      "0f9f1c2e562dcd48729b4b4e6edbc9747da6f1bc9630f2348c2a3621f4903935"),
     (("optimize", "--T", "3", "--segments", "10", "--seeds", "1", "--out", "optimize.csv"),
      "da94ae84db9631c524c4c65868b800d7479f0cfd44fe0ddff2a9caa5340c5c9c",
@@ -603,12 +602,12 @@ CSV_SHA256 = [
      "222f3b1bc74e3f1f4eaa639b969d7cd8eb62f37d04e3c1b68811e4f2838ad76b",
      "493f1329b68d2f4f43dabe86aec2902a023ec6207ec1cec20a701a6ba2af4762"),
     (("shortcut", "--profile", "original", "--steps", "200", "--out", "shortcut_original.csv"),
-     "61e85706336b38097ab7ddd043db8f19359073b0ff480d227248ac960c8f3ad0",
-     "07582f8a0af1d8779480d6f7823d2a628f49261c0b0a86b8681300724fbb91b7"),
+     "342f42780e0ffdd8c3298661914add0ad666b80969758a221becf496aa18d6c5",
+     "3f12fc89de462d0eb44cc22059b801037f77493566b550d0b220fb6e8a8e13ad"),
     (("shortcut", "--profile", "fast", "--kappa", "0.05", "--steps", "200",
       "--out", "shortcut_lossy.csv"),
-     "991a7245df14bbef42ef303d5bbafcbab9754b26c1619b3ab1149bc47bd349d5",
-     "563ff7c348c0f7a664756266f209954491e48044e2261d7080127053133b854a"),
+     "72175c08273496bce3d280d892bb213e49c5b6df34b92dcc6e96a3875266d83f",
+     "46a91b204c3339a6357fa705f91eb672f78dc265fe2be249f323c9d09c910bd7"),
 ]
 
 
@@ -854,7 +853,7 @@ def test_alpha_whose_square_is_normal_keeps_the_ratio(capsys):
     the default's ratio to rel 1e-15, about 5 ulps.  An alpha whose square is
     subnormal may only be refused: at 1e-160 the ratio would move by 5e-4."""
     smallest = repr(math.nextafter(_ALPHA_SUBNORMAL, 1.0))
-    argv = ("shortcut", "--profile", "fast", "--steps", "50", "--samples", "11", "--alpha")
+    argv = ("shortcut", "--profile", "fast", "--steps", "50", "--alpha")
     ratios = {}
     for alpha in ("1e-160", smallest, "0.1"):
         code, out, err = main_in_process(capsys, *argv, alpha)
@@ -869,7 +868,7 @@ def test_alpha_whose_square_is_normal_keeps_the_ratio(capsys):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (("shortcut", "--profile", "fast", "--steps", "50", "--samples", "11"), 2),
+    (("shortcut", "--profile", "fast", "--steps", "50"), 2),
     (("entangle", "--state", "1,0,0,0,0,0"), 0),
 ])
 def test_alpha_whose_square_overflows_is_treated_like_1e100(capsys, argv, code):
@@ -908,7 +907,7 @@ def test_huge_shortcut_duration_fails_instead_of_passing_the_ceiling(capsys, tmp
     out_csv = tmp_path / "trace.csv"
     code, out, err = main_in_process(
         capsys, "shortcut", "--profile", "fast", "--T", duration, "--steps", "50",
-        "--samples", "11", "--out", str(out_csv),
+        "--out", str(out_csv),
     )
     assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
     assert not out_csv.exists()
@@ -930,7 +929,7 @@ EVERY_COMMAND = """
 import contextlib, io, sys
 from bjjctrl import cli
 runs = (["duration", "--profile", "fast"],
-        ["shortcut", "--profile", "fast", "--steps", "50", "--samples", "11", "--out", "trace.csv"],
+        ["shortcut", "--profile", "fast", "--steps", "50", "--out", "trace.csv"],
         ["simulate", "--schedule", "trace.csv", "--steps", "50"],
         ["entangle", "--state", "1,0,0,0,0,0", "--alpha", "0.1"],
         ["optimize", "--T", "3", "--segments", "4", "--seeds", "2", "--max-iter", "5"],
@@ -1005,7 +1004,7 @@ OPTIMISER_FLAGS = {"--bounds", "--segments", "--seeds", "--alpha", "--base-seed"
 FLAGS = {
     "duration": {"--profile", "--knots", "--grid-min", "--grid-max", "--grid-step", "--out"},
     "shortcut": {"--profile", "--knots", "--alpha", "--kappa", "--omega", "--T", "--steps",
-                 "--samples", "--out"},
+                 "--out"},
     "simulate": {"--schedule", "--alpha", "--kappa", "--omega", "--steps", "--out"},
     "optimize": OPTIMISER_FLAGS | {"--T", "--kappa", "--out"},
     "mintime": OPTIMISER_FLAGS | {"--epsilon"},
@@ -1045,7 +1044,7 @@ def test_every_exported_function_is_run_by_a_command(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     runs = [
         ("duration", "--profile", "original"),
-        ("shortcut", "--profile", "fast", "--steps", "20", "--samples", "21", "--out", "s.csv"),
+        ("shortcut", "--profile", "fast", "--steps", "20", "--out", "s.csv"),
         ("optimize", "--T", "2", "--segments", "4", "--seeds", "1", "--out", "c.csv"),
         ("simulate", "--schedule", "c.csv", "--steps", "20"),
         ("mintime", "--segments", "4", "--seeds", "1", "--epsilon", "0.05", "--max-iter", "50"),
@@ -1075,7 +1074,7 @@ def test_every_exported_function_is_run_by_a_command(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize("argv, config_hash", [
     (("duration", "--profile", "fast"), "4e1cc4d158f4"),
-    (("shortcut", "--profile", "fast"), "0db2538608bb"),
+    (("shortcut", "--profile", "fast"), "f4229927241f"),
     (("simulate", "--schedule", "x.csv"), "d3c27ff65697"),
     (("optimize", "--T", "7"), "39caf1c93735"),
     (("mintime",), "2b5fa3402463"),
@@ -1114,7 +1113,7 @@ OPTION_TEXTS = ["nan", "inf", "-inf", "-1", "0", "3", "5e-324", "1e-300", "1e300
 #: ``OPTION_TEXTS``, so at most 3.
 CONTRACT_BASES = {
     "duration": ("--profile", "fast"),
-    "shortcut": ("--profile", "fast", "--steps", "20", "--samples", "11"),
+    "shortcut": ("--profile", "fast", "--steps", "20"),
     "simulate": ("--schedule", "schedule.csv", "--steps", "20"),
     "optimize": ("--T", "3", "--segments", "4", "--seeds", "1", "--max-iter", "5"),
     "mintime": ("--segments", "4", "--seeds", "1", "--max-iter", "5"),

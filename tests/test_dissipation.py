@@ -21,8 +21,8 @@ def loss_traces(run, kappa, steps):
     """Times and the dominant concurrence along ``run``'s schedule, lossless
     and at loss rate ``kappa``."""
     state0 = initial_state(run.prep)
-    lossless = propagate(state0, run.schedule, JunctionParams(0.0, 0.0), steps)
-    lossy = propagate(state0, run.schedule, JunctionParams(0.0, kappa), steps)
+    lossless = propagate(state0, run.controls, JunctionParams(0.0, 0.0), steps)
+    lossy = propagate(state0, run.controls, JunctionParams(0.0, kappa), steps)
     return lossless.times, dominant_trace(lossless.amplitudes), dominant_trace(lossy.amplitudes)
 
 
@@ -39,8 +39,8 @@ def test_one_quantum_amplitudes_decay_at_half_rate():
     kappa, duration = 0.3, 4.0
     state = initial_state(symmetric_preparation(0.1))
     controls = ControlVector([0.3], [0.2], duration)
-    base = propagate(state, controls, JunctionParams(0.0, 0.0), steps=1).final
-    lossy = propagate(state, controls, JunctionParams(0.0, kappa), steps=1).final
+    base = propagate(state, controls, JunctionParams(0.0, 0.0), steps=1).state(-1)
+    lossy = propagate(state, controls, JunctionParams(0.0, kappa), steps=1).state(-1)
     half = math.exp(-0.5 * kappa * duration)
     fullr = math.exp(-kappa * duration)
     assert lossy.c10 == pytest.approx(base.c10 * half, abs=1e-14)
@@ -71,8 +71,8 @@ def test_component_decay_rates(fast_run):
     kappa = 0.08
     steps = 4000
     state0 = initial_state(fast_run.prep)
-    base = propagate(state0, fast_run.schedule, JunctionParams(0.0, 0.0), steps)
-    lossy = propagate(state0, fast_run.schedule, JunctionParams(0.0, kappa), steps)
+    base = propagate(state0, fast_run.controls, JunctionParams(0.0, 0.0), steps)
+    lossy = propagate(state0, fast_run.controls, JunctionParams(0.0, kappa), steps)
     t = base.times
     half = np.exp(-0.5 * kappa * t)
     full = np.exp(-kappa * t)

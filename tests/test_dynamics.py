@@ -88,7 +88,12 @@ def cf4_oracle(state, schedule, omega, kappa, steps):
 def one_segment(state, u, j, params, duration):
     """Closed-form propagation under constant controls: a one-segment
     ControlVector."""
-    return propagate(state, ControlVector([u], [j], duration), params, steps=1).final
+    return propagate(state, ControlVector([u], [j], duration), params, steps=1).state(-1)
+
+
+def constant_schedule(u, j, duration):
+    """Constant controls as a two-sample ``ControlSchedule``."""
+    return ControlSchedule(np.array([0.0, duration]), np.full(2, u), np.full(2, j))
 
 
 def smooth_schedule(duration, phase=0.0, samples=2001):
@@ -174,7 +179,7 @@ def test_evolve_constant_matches_expm_oracle(rng):
 
 def test_propagate_zero_controls_freezes_state():
     state = initial_state(symmetric_preparation(0.1))
-    schedule = ControlSchedule.constant(0.0, 0.0, 5.0)
+    schedule = constant_schedule(0.0, 0.0, 5.0)
     traj = propagate(state, schedule, JunctionParams(), steps=200)
     assert traj.times[0] == 0.0 and traj.times[-1] == 5.0
     assert np.max(np.abs(traj.amplitudes - state.as_array())) < 1e-15
@@ -183,10 +188,10 @@ def test_propagate_zero_controls_freezes_state():
 def test_propagate_against_constant_oracle():
     state = initial_state(symmetric_preparation(0.1))
     u, j, duration = 0.5, 0.25, 10.0
-    schedule = ControlSchedule.constant(u, j, duration)
+    schedule = constant_schedule(u, j, duration)
     traj = propagate(state, schedule, JunctionParams(), steps=10_000)
     want = one_segment(state, u, j, JunctionParams(), duration)
-    assert np.max(np.abs(traj.final.as_array() - want.as_array())) < 1e-9
+    assert np.max(np.abs(traj.state(-1).as_array() - want.as_array())) < 1e-9
 
 
 def test_propagate_random_constant_instances(rng):
@@ -198,9 +203,9 @@ def test_propagate_random_constant_instances(rng):
         u, j = rng.uniform(0, 1.0), rng.uniform(0, 0.5)
         params = JunctionParams(rng.uniform(-0.5, 0.5), rng.choice([0.0, 0.1]))
         duration = rng.uniform(0.2, 2.5)
-        traj = propagate(state, ControlSchedule.constant(u, j, duration), params, steps=3000)
+        traj = propagate(state, constant_schedule(u, j, duration), params, steps=3000)
         want = one_segment(state, u, j, params, duration)
-        worst = max(worst, np.max(np.abs(traj.final.as_array() - want.as_array())))
+        worst = max(worst, np.max(np.abs(traj.state(-1).as_array() - want.as_array())))
     assert worst < 1e-9
 
 
@@ -259,7 +264,7 @@ def test_sampled_schedules_converge_at_fourth_order():
     state = TruncatedState.from_array(vec / np.linalg.norm(vec))
     schedule = smooth_schedule(6.0, samples=11)
     finals = [
-        propagate(state, schedule, JunctionParams(0.2, 0.05), 10 * 2**k).final.as_array()
+        propagate(state, schedule, JunctionParams(0.2, 0.05), 10 * 2**k).state(-1).as_array()
         for k in range(5)
     ]
     diffs = [np.max(np.abs(a - b)) for a, b in zip(finals, finals[1:])]
@@ -330,9 +335,9 @@ def test_block_decoupling():
     one0 = TruncatedState(c10=full0.c10, c01=full0.c01)
     two0 = TruncatedState(c11=full0.c11, c20=full0.c20, c02=full0.c02)
     steps = 500
-    full = propagate(full0, schedule, params, steps).final.as_array()
-    one = propagate(one0, schedule, params, steps).final.as_array()
-    two = propagate(two0, schedule, params, steps).final.as_array()
+    full = propagate(full0, schedule, params, steps).state(-1).as_array()
+    one = propagate(one0, schedule, params, steps).state(-1).as_array()
+    two = propagate(two0, schedule, params, steps).state(-1).as_array()
     rebuilt = one + two
     rebuilt[0] = full0.c00
     assert np.max(np.abs(full - rebuilt)) < 1e-12
@@ -470,18 +475,18 @@ def final_product(schedule, alpha, steps=4000):
     traj = propagate(
         initial_state(symmetric_preparation(alpha)), schedule, JunctionParams(), steps
     )
-    return traj.final.c10 * traj.final.c01
+    return traj.state(-1).c10 * traj.state(-1).c01
 
 
 def test_product_phase_zero_coupling():
-    schedule = ControlSchedule.constant(0.5, 0.0, 3.0)
+    schedule = constant_schedule(0.5, 0.0, 3.0)
     assert final_product(schedule, 0.1) == pytest.approx(0.005, abs=1e-15)
 
 
 def test_product_phase_full_turn_wraps():
     duration = 4.0
     j = 2.0 * math.pi / (2.0 * duration)  # 2 J T = 2 pi
-    schedule = ControlSchedule.constant(0.0, j, duration)
+    schedule = constant_schedule(0.0, j, duration)
     assert final_product(schedule, 0.1) == pytest.approx(0.005, abs=1e-12)
 
 

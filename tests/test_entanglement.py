@@ -132,7 +132,7 @@ def test_normalized_flagged_without_alpha():
 
 
 def test_full_vs_dominant_gap_is_second_order(fast_run):
-    fin = fast_run.trajectory.final
+    fin = fast_run.trajectory.state(-1)
     cv = concurrence(fin, alpha=fast_run.alpha)
     assert cv.full == pytest.approx(cv.dominant, rel=5 * fast_run.alpha**2)
     assert cv.dominant <= 2.0 * (abs(fin.c11) + abs(fin.c10 * fin.c01)) + 1e-15

@@ -72,7 +72,7 @@ def chained_oracle(cv, prep, params):
     state = initial_state(prep)
     dt = cv.duration / cv.segments
     for k in range(cv.segments):
-        state = propagate(state, ControlVector([cv.u[k]], [cv.j[k]], dt), params, steps=1).final
+        state = propagate(state, ControlVector([cv.u[k]], [cv.j[k]], dt), params, steps=1).state(-1)
     return 2.0 * abs(state.c11 - state.c10 * state.c01) / prep.alpha_sq
 
 

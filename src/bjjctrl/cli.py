@@ -505,6 +505,9 @@ def cmd_mintime(options) -> int:
 def cmd_sweep(options) -> int:
     grid = _parse_grid(options["t"])
     kappas = _parse_floats(options["kappa"], name="kappa")
+    keys = [f"argmax_T_kappa_{kappa:g}" for kappa in kappas]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"--kappa {options['kappa']!r} repeats a rate at 6 significant digits")
     bounds = tuple(_parse_floats(options["bounds"], 2, "bounds"))
     curves = sweep(
         grid, bounds, options["segments"], kappas,
@@ -521,8 +524,7 @@ def cmd_sweep(options) -> int:
             np.concatenate([c.objectives for c in curves]),
         ))
     summary = {
-        f"argmax_T_kappa_{c.kappa:g}": float(c.durations[int(np.argmax(c.objectives))])
-        for c in curves
+        key: float(c.durations[int(np.argmax(c.objectives))]) for key, c in zip(keys, curves)
     }
     lossless = [c.objectives.max() for c in curves if c.kappa == 0.0]
     if lossless:

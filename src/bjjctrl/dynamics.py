@@ -205,10 +205,12 @@ class ControlVector:
 
     def _segment(self, t):
         """Index of the segment holding time(s) t; T and later times fall
-        in the last segment, and for T = 0 every time in the first."""
-        if self.duration == 0.0:
+        in the last segment, and every time in the first when segments have
+        no length (T = 0, or T / N underflows to 0)."""
+        dt = self.duration / self.segments
+        if dt == 0.0:
             return np.zeros(np.shape(t), dtype=int)
-        k = (np.asarray(t) / (self.duration / self.segments)).astype(int)
+        k = (np.asarray(t) / dt).astype(int)
         return np.minimum(k, self.segments - 1)
 
     def controls_at(self, t):
@@ -259,10 +261,11 @@ def initial_state(prep: InitialPreparation) -> TruncatedState:
     )
 
 
-#: Rows that ``propagate`` fills, and segments whose ``_tree`` it builds, at
-#: once.  A chunk costs a fixed number of numpy calls plus the tree's
-#: O(log2 _CHUNK), so long chunks pay; at 1024 a tree's and a row chunk's
-#: temporaries stay within 128 kB.
+#: Segments per ``_tree`` (a chunk) and rows per fill (a row block) in
+#: ``propagate``.  Each costs a fixed number of numpy calls, a chunk also the
+#: tree's O(log2 _CHUNK), so long ones pay; at 1024 their temporaries stay
+#: within 128 kB.  Another chunk regroups the tree's products, and so moves
+#: the edge states' last bits.
 _CHUNK = 1024
 
 
@@ -361,44 +364,6 @@ def _cf4(schedule, tgrid):
     return ControlVector(*uj, schedule.duration)
 
 
-def _exact(cv, k, offset, tgrid, omega_eff, out):
-    """Filler of rows lo + 1 .. hi of ``out`` in closed form under the
-    piecewise-constant controls ``cv``, sample i lying ``offset[i]`` into
-    segment ``k[i]`` (or, at offset 0, on the edge k[i] <= cv.segments):
-    (c10, c01) from the integrated coupling Theta(t); in the (S, c11, A)
-    basis of ``_rotation`` the phases exp(-i (Phi + 2 w t)) on (S, c11) and
-    exp(-2i (Phi + w t)) on A, with Phi(t) the integrated nonlinearity;
-    (S, c11) at the start of each sample's segment from the ``_sweep`` of
-    the segment rotations' ``_tree``, built ``_CHUNK`` segments at a time
-    with the edge state carried from chunk to chunk, and each chunk of
-    samples advanced from there by its offsets unless they are all 0."""
-    dt = cv.duration / cv.segments
-    x0 = _Q_SYM @ out[0, _TWO]  # (S, c11, A)
-    edge, pairs = x0[:2, None], np.empty((2, k.size), dtype=complex)
-    sums, phases = np.zeros((2, 1)), np.empty((2, k.size))  # (Phi, Theta) = dt * sums
-    for a in range(0, cv.segments, _CHUNK):
-        u, j = cv.u[a:a + _CHUNK], cv.j[a:a + _CHUNK]
-        cols = _sweep(_tree(_rotation(u, j, dt)[0]), edge)[:, 0]
-        sums = np.cumsum(np.concatenate((sums[:, -1:], [u, j]), axis=1), axis=1)
-        at = slice(*np.searchsorted(k, [a, a + u.size + 1]))  # k in [a, a + u.size]
-        pairs[:, at], phases[:, at] = cols[:, k[at] - a], dt * sums[:, k[at] - a]
-        edge = cols[:, u.size, None]
-
-    def fill(lo, hi):
-        rows = slice(lo + 1, hi + 1)
-        t, off, pair, (p, q) = tgrid[rows], offset[rows], pairs[:, rows], phases[:, rows]
-        if off.any():
-            u, j = cv.u[k[rows]], cv.j[k[rows]]
-            p, q = p + off * u, q + off * j
-            pair = (_rotation(u, j, off)[0] * pair).sum(axis=1)
-        pair *= np.exp(-1j * (p + 2.0 * omega_eff * t))
-        anti = x0[2] * np.exp(-2j * (p + omega_eff * t))
-        out[rows, _TWO] = np.column_stack((*pair, anti)) @ _Q_SYM
-        turn = np.exp(-1j * omega_eff * t)[:, None]
-        out[rows, _ONE] = _one_quantum(q[:, None], turn, out[0, _ONE])
-    return fill
-
-
 def propagate(
     state: TruncatedState,
     schedule: ControlVector | ControlSchedule | ShortcutControls,
@@ -406,8 +371,7 @@ def propagate(
     steps: int = 10_000,
 ) -> Trajectory:
     """The state, from its initial amplitudes ``state``, at ``steps`` + 1
-    uniform times over [0, T], endpoints included, filled ``_CHUNK`` steps
-    at a time by ``_exact``.
+    uniform times over [0, T], endpoints included.
 
     Piecewise-constant ``ControlVector`` controls are propagated exactly,
     up to floating point, whatever ``steps``.  Any other controls, a
@@ -418,26 +382,57 @@ def propagate(
     and each sample is the state at a segment edge.  ``params`` holds the
     frequency and loss rate.  Raises FloatingPointError (and warns of
     nothing) if the state stops being finite (controls that overflow).
+
+    In closed form, sample i lies ``offset[i]`` into segment ``k[i]`` (or,
+    at offset 0, on the edge k[i] <= N): (c10, c01) follow the integrated
+    coupling Theta(t); in the (S, c11, A) basis of ``_rotation``, (S, c11)
+    takes the phase exp(-i (Phi + 2 w t)) and A exp(-2i (Phi + w t)), Phi(t)
+    the integrated nonlinearity.  (S, c11) at each segment's start is the
+    ``_sweep`` of a chunk of ``_CHUNK`` rotations' ``_tree`` from the edge
+    the previous chunk ended on; the samples up to the chunk's closing edge
+    follow, a row block of ``_CHUNK`` rows at a time, each block advanced by
+    its offsets unless they are all 0.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     tgrid = np.linspace(0.0, schedule.duration, steps + 1)
     out = np.tile(state.as_array(), (steps + 1, 1))  # c00 is constant
+    w = effective_frequency(params)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         if isinstance(schedule, ControlVector):
-            k = schedule._segment(tgrid)
-            offset = tgrid - k * (schedule.duration / schedule.segments)
+            cv, k = schedule, schedule._segment(tgrid)
+            offset = tgrid - k * (cv.duration / cv.segments)
         else:  # sample i on edge 2i, after i steps of two segments
-            schedule, k = _cf4(schedule, tgrid), 2 * np.arange(steps + 1)
+            cv, k = _cf4(schedule, tgrid), 2 * np.arange(steps + 1)
             offset = np.zeros(steps + 1)
-        fill = _exact(schedule, k, offset, tgrid, effective_frequency(params), out)
-        for lo in range(0, steps, _CHUNK):
-            hi = min(lo + _CHUNK, steps)
-            fill(lo, hi)
-            bad = ~np.all(np.isfinite(out[lo + 1:hi + 1]), axis=1)
-            if bad.any():
-                i = lo + 1 + int(np.argmax(bad))
-                raise FloatingPointError(
-                    f"state became non-finite at t = {tgrid[i]:.6g} (step {i}/{steps})"
-                )
+        dt = cv.duration / cv.segments
+        x0 = _Q_SYM @ out[0, _TWO]  # (S, c11, A)
+        edge, sums = x0[:2, None], np.zeros((2, 1))  # (Phi, Theta) = dt * sums
+        done = 1  # the next row to fill; row 0 holds the initial state
+        for a in range(0, cv.segments, _CHUNK):
+            u, j = cv.u[a:a + _CHUNK], cv.j[a:a + _CHUNK]
+            cols = _sweep(_tree(_rotation(u, j, dt)[0]), edge)[:, 0]
+            sums = np.cumsum(np.concatenate((sums[:, -1:], [u, j]), axis=1), axis=1)
+            edge = cols[:, u.size, None]
+            end = np.searchsorted(k, a + u.size, side="right")  # k <= a + u.size
+            for lo in range(done, end, _CHUNK):
+                rows = slice(lo, min(lo + _CHUNK, end))
+                t, off, seg = tgrid[rows], offset[rows], k[rows]
+                pair, (p, q) = cols[:, seg - a], dt * sums[:, seg - a]
+                if off.any():  # segment a + u.size, past the closing edge, is the next chunk's
+                    us, js = cv.u[seg], cv.j[seg]
+                    p, q = p + off * us, q + off * js
+                    pair = (_rotation(us, js, off)[0] * pair).sum(axis=1)
+                pair *= np.exp(-1j * (p + 2.0 * w * t))
+                anti = x0[2] * np.exp(-2j * (p + w * t))
+                out[rows, _TWO] = np.column_stack((*pair, anti)) @ _Q_SYM
+                turn = np.exp(-1j * w * t)[:, None]
+                out[rows, _ONE] = _one_quantum(q[:, None], turn, out[0, _ONE])
+                bad = ~np.all(np.isfinite(out[rows]), axis=1)
+                if bad.any():
+                    i = lo + int(np.argmax(bad))
+                    raise FloatingPointError(
+                        f"state became non-finite at t = {tgrid[i]:.6g} (step {i}/{steps})"
+                    )
+            done = end
     return Trajectory(times=tgrid, amplitudes=out)

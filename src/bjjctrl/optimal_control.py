@@ -620,8 +620,9 @@ def sweep(
     kappa_list = list(kappa_list)
     if durations.size == 0 or not kappa_list:
         raise ValueError("duration grid and kappa list must be non-empty")
-    if any(kappa < 0.0 for kappa in kappa_list):
-        raise ValueError("loss rates must be >= 0")
+    for kappa in kappa_list:
+        if not (math.isfinite(kappa) and kappa >= 0.0):
+            raise ValueError(f"loss rates must be finite and >= 0, got {float(kappa)!r}")
 
     base = np.empty(durations.size)
     bests: list[ControlVector] = []

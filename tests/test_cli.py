@@ -276,6 +276,18 @@ SEGMENTS = (
 )
 
 
+def test_simulate_runs_segments_whose_length_underflows(tmp_path, capsys):
+    """T / N = 5e-324 / 4 underflows to 0, so every segment starts at 0 and
+    the run is that of T = 0."""
+    sched_file = tmp_path / "tiny.csv"
+    sched_file.write_text('# config={"t": 5e-324}\nsegment,t_start,u,j\n'
+                          + "".join(f"{k},0.0,0.1,0.1\n" for k in range(4)))
+    code, out, err = main_in_process(capsys, "simulate", "--schedule", str(sched_file),
+                                     "--steps", "10")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["T"] == 5e-324
+
+
 @pytest.mark.parametrize("text, needle", [
     ("t,u,j\n0,0.5,0.1\n1,oops,0.1\n2,0.5,0.1\n3,0.5,0.1\n", "oops"),
     ("kappa,T,objective\n0.0,1.0,0.5\n0.0,2.0,1.5\n", "header"),
@@ -551,6 +563,23 @@ def test_empty_list_field_is_a_configuration_error(capsys, monkeypatch, argv, na
     code, out, err = main_in_process(capsys, *argv)
     assert code == 2 and out == ""
     assert named in err
+
+
+@pytest.mark.parametrize("kappas", ["0,0.1,0.1000001", "0.1,0.1"])
+def test_sweep_refuses_loss_rates_that_share_a_summary_key(capsys, monkeypatch, kappas):
+    """Each curve prints as argmax_T_kappa_{kappa:g}, so two rates that
+    agree to 6 significant digits would print as one."""
+    monkeypatch.setattr(cli, "sweep", _refuse_to_run)
+    code, out, err = main_in_process(capsys, "sweep", "--T", "1:2:1", "--kappa", kappas)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"configuration error: --kappa {kappas!r}")
+
+
+def test_sweep_refuses_a_non_finite_loss_rate_before_optimising(capsys, monkeypatch):
+    monkeypatch.setattr(optimal_control, "maximize", _refuse_to_run)
+    code, out, err = main_in_process(capsys, "sweep", "--T", "1:2:1", "--kappa", "0,nan")
+    assert (code, out) == (2, "")
+    assert err == "configuration error: loss rates must be finite and >= 0, got nan\n"
 
 
 def test_list_values_may_carry_spaces(capsys):

@@ -758,6 +758,8 @@ def test_sweep_validates_inputs(monkeypatch):
         sweep(np.array([]), BOUNDS, 20, [0.0])
     with pytest.raises(ValueError, match="loss rates"):
         sweep(np.array([1.0]), BOUNDS, 20, [0.0, -0.1], seeds=1, max_iter=50)
+    with pytest.raises(ValueError, match="finite and >= 0, got nan"):
+        sweep(np.array([1.0]), BOUNDS, 20, [float("nan")], seeds=1, max_iter=50)
 
 
 def test_sweep_refuses_a_lossy_cross_check_gap(monkeypatch):

@@ -42,16 +42,6 @@ MAX_ALPHA_SQ = 0.1
 #: Column order of amplitude arrays throughout the package.
 AMPLITUDE_LABELS = ("c00", "c10", "c01", "c11", "c20", "c02")
 
-#: Amplitude columns of the one-quanta (c10, c01) and two-quanta
-#: (c20, c11, c02) blocks, in the order the block matrices use.
-_ONE = [1, 2]
-_TWO = [4, 3, 5]
-
-#: Basis change of the two-quanta amplitudes, in the order of ``_TWO``, to
-#: (S, c11, A) with S, A = (c20 +- c02)/s2: a symmetric orthogonal
-#: involution that leaves a 2x2 block on (S, c11) and a scalar mode A.
-_Q_SYM = np.array([[1.0, 0.0, 1.0], [0.0, SQRT2, 0.0], [1.0, 0.0, -1.0]]) / SQRT2
-
 #: Gauss nodes 1/2 -+ sqrt(3)/6 of a step, and twice the weights
 #: (3 -+ 2 sqrt(3))/12 of the commutator-free Magnus step ``_cf4``.
 _NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -335,6 +325,14 @@ def _rotation(u, j, dt):
     return np.array([[cos - isu, off], [off, cos + isu]]), y, s
 
 
+def _frame(state: TruncatedState):
+    """``state`` in the frame that splits the two-quanta block: the pairs
+    (c10, c01) and (S, c11) and the mode A, S, A = (c20 +- c02)/sqrt(2) with
+    each part divided once (numpy would multiply by a rounded 1/sqrt(2))."""
+    _, c10, c01, c11, c20, c02 = state.as_array().tolist()
+    return np.array([c10, c01]), np.array([(c20 + c02) / SQRT2, c11]), (c20 - c02) / SQRT2
+
+
 def _one_quantum(theta, turn, v):
     """(c10, c01) evolved from the pair ``v`` under integrated coupling
     ``theta`` with the frequency phase turn = exp(-i w t), both ending in a
@@ -385,7 +383,7 @@ def propagate(
 
     In closed form, sample i lies ``offset[i]`` into segment ``k[i]`` (or,
     at offset 0, on the edge k[i] <= N): (c10, c01) follow the integrated
-    coupling Theta(t); in the (S, c11, A) basis of ``_rotation``, (S, c11)
+    coupling Theta(t); in the (S, c11, A) frame of ``_frame``, (S, c11)
     takes the phase exp(-i (Phi + 2 w t)) and A exp(-2i (Phi + w t)), Phi(t)
     the integrated nonlinearity.  (S, c11) at each segment's start is the
     ``_sweep`` of a chunk of ``_CHUNK`` rotations' ``_tree`` from the edge
@@ -406,8 +404,8 @@ def propagate(
             cv, k = _cf4(schedule, tgrid), 2 * np.arange(steps + 1)
             offset = np.zeros(steps + 1)
         dt = cv.duration / cv.segments
-        x0 = _Q_SYM @ out[0, _TWO]  # (S, c11, A)
-        edge, sums = x0[:2, None], np.zeros((2, 1))  # (Phi, Theta) = dt * sums
+        y0, x0, a0 = _frame(state)
+        edge, sums = x0[:, None], np.zeros((2, 1))  # (Phi, Theta) = dt * sums
         done = 1  # the next row to fill; row 0 holds the initial state
         for a in range(0, cv.segments, _CHUNK):
             u, j = cv.u[a:a + _CHUNK], cv.j[a:a + _CHUNK]
@@ -423,11 +421,10 @@ def propagate(
                     us, js = cv.u[seg], cv.j[seg]
                     p, q = p + off * us, q + off * js
                     pair = (_rotation(us, js, off)[0] * pair).sum(axis=1)
-                pair *= np.exp(-1j * (p + 2.0 * w * t))
-                anti = x0[2] * np.exp(-2j * (p + w * t))
-                out[rows, _TWO] = np.column_stack((*pair, anti)) @ _Q_SYM
-                turn = np.exp(-1j * w * t)[:, None]
-                out[rows, _ONE] = _one_quantum(q[:, None], turn, out[0, _ONE])
+                sym, out[rows, 3] = pair * np.exp(-1j * (p + 2.0 * w * t))  # S, c11
+                anti = a0 * np.exp(-2j * (p + w * t))
+                out[rows, 4], out[rows, 5] = (sym + anti) / SQRT2, (sym - anti) / SQRT2
+                out[rows, 1:3] = _one_quantum(q[:, None], np.exp(-1j * w * t)[:, None], y0)
                 bad = ~np.all(np.isfinite(out[rows]), axis=1)
                 if bad.any():
                     i = lo + int(np.argmax(bad))

@@ -95,11 +95,14 @@ def dominant_trace(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def _unit_amplitudes(state: TruncatedState) -> np.ndarray:
-    vec = state.as_array()
-    nrm = np.linalg.norm(vec)
-    if nrm == 0.0:
+    """The amplitudes over their norm, taken once they are divided by their
+    largest real or imaginary part, so that no square under- or overflows."""
+    parts = state.as_array().view(float)
+    big = np.max(np.abs(parts))
+    if big == 0.0:
         raise ValueError("cannot analyse the zero state")
-    return vec / nrm
+    parts = parts / big
+    return (parts / math.hypot(*parts)).view(complex)
 
 
 def entanglement_exact(state: TruncatedState) -> EntanglementResult:

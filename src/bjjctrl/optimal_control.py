@@ -45,7 +45,7 @@ from .dynamics import (
     ControlVector,
     InitialPreparation,
     JunctionParams,
-    SQRT2,
+    _frame,
     _one_quantum,
     _rotation,
     _sweep,
@@ -91,9 +91,7 @@ def _prep_blocks(prep: InitialPreparation | None, params: JunctionParams | None)
     preparation at alpha = 0.1 and for lossless controls at omega = 0."""
     prep = prep if prep is not None else symmetric_preparation(0.1)
     params = params if params is not None else JunctionParams()
-    state = initial_state(prep)
-    y0 = np.array([state.c10, state.c01], dtype=complex)
-    x0 = np.array([(state.c20 + state.c02) / SQRT2, state.c11], dtype=complex)
+    y0, x0, _ = _frame(initial_state(prep))
     return y0, x0, prep.alpha_sq, effective_frequency(params)
 
 
@@ -119,7 +117,8 @@ def _forward(uj, duration, y0, x0, omega_eff):
     rot, y, s = _rotation(padded[0], padded[1], dt)
     *levels, top = _tree(rot)
     sums = dt * uj.sum(axis=2, keepdims=True)
-    phase = np.exp(-1j * (sums[:, 0] + 2.0 * omega_eff * duration))
+    with np.errstate(invalid="ignore"):  # -1j * (x - inf j) once kappa T overflows; exp gives 0
+        phase = np.exp(-1j * (sums[:, 0] + 2.0 * omega_eff * duration))
     one = _one_quantum(sums[:, 1], np.exp(-1j * omega_eff * duration), y0)
     c10, c01 = one[:, :1], one[:, 1:]
     return (*levels, top, y, s, phase, c10, c01, phase * (top[1, 0] * x0[0] + top[1, 1] * x0[1]))

@@ -1165,6 +1165,9 @@ def command_lines(draw):
 @given(command_lines())
 @example(["duration", "--profile", "fast", "--grid-min=5e-324"])  # phi'/T overflowed, warning
 @example(["shortcut", *CONTRACT_BASES["shortcut"], "--out=."])  # a traceback, exit 1
+@example(["entangle", *CONTRACT_BASES["entangle"], "--state=1e200,0,0,0,0,0"])  # overflow warning
+@example(["optimize", *CONTRACT_BASES["optimize"], "--kappa=1e308"])  # kappa T overflowed, warning
+@example(["sweep", *CONTRACT_BASES["sweep"], "--kappa=1e308"])  # kappa T overflowed, warning
 def test_any_option_text_exits_0_2_or_3_with_one_error_line(argv):
     """Every command, whatever text its options get: exit 0, 2 or 3; a
     refusal prints one error line (after argparse's usage block, for a

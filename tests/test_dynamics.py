@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import bjjctrl
 from bjjctrl.dynamics import _CHUNK, _sweep, _tree
 
 from bjjctrl import (
@@ -493,6 +498,58 @@ def test_propagate_heap_is_near_the_trajectory():
         tracemalloc.stop()
     assert traj.amplitudes.nbytes == 10_001 * 6 * 16
     assert peak <= 1.75 * traj.amplitudes.nbytes
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(piecewise_runs())
+def test_shared_samples_keep_their_bits_at_any_step_count(run):
+    """The samples that 1025 and 2050 steps share (every second one of
+    2050) fall in row blocks of other sizes, a lone last row among them,
+    yet hold the same bits when c20 != c02 (A != 0): no sample's
+    arithmetic depends on its block."""
+    cv, prep, params, _ = run
+    state = initial_state(prep)
+    assume(state.c20 != state.c02)
+    a = propagate(state, cv, params, steps=1025).amplitudes
+    b = propagate(state, cv, params, steps=2050).amplitudes
+    assert a.tobytes() == b[::2].tobytes()
+
+
+#: Prints the SHA-256 of an asymmetric preparation's amplitudes under a
+#: 100-segment vector and under the fast shortcut, lossy, at 3001 steps.
+ASYMMETRIC_TRACES = """
+import hashlib
+import numpy as np
+from bjjctrl import (ControlVector, InitialPreparation, JunctionParams,
+                     counterdiabatic_controls, initial_state, profile_fast, propagate)
+state = initial_state(InitialPreparation(0.2 + 0.05j, 0.1 - 0.1j))
+k = np.arange(100)
+vector = ControlVector(0.5 + 0.5 * np.sin(0.3 * k), 0.125 + 0.1 * np.cos(0.7 * k), 7.0)
+digest = hashlib.sha256()
+for controls in (vector, counterdiabatic_controls(profile_fast(), 15.0)):
+    digest.update(propagate(state, controls, JunctionParams(0.3, 0.05), 3001).amplitudes.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(
+    "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+    reason="numpy is not linked to OpenBLAS",
+)
+def test_trace_bytes_do_not_depend_on_the_blas_kernel():
+    """OpenBLAS picks its kernels by CPU, and its Haswell and Nehalem
+    kernels round complex products differently; no trace goes through
+    BLAS, so forcing either kernel gives the same amplitudes."""
+    path = os.pathsep.join(filter(None, (str(Path(bjjctrl.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH"))))
+    digests = set()
+    for core in ("Haswell", "Nehalem"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": core}
+        proc = subprocess.run([sys.executable, "-c", ASYMMETRIC_TRACES], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1, digests
 
 
 def test_symmetric_preparation_keeps_c20_c02_equal():

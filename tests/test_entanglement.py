@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bjjctrl import (
     JunctionParams,
@@ -187,6 +189,39 @@ def test_exact_entropy_matches_concurrence_formula_near_maximum():
 def test_rejects_zero_state():
     with pytest.raises(ValueError):
         entanglement_exact(TruncatedState())
+
+
+@pytest.mark.parametrize("amplitudes, unit", [
+    ((1e200,), (1.0,)), ((1e-200,), (1.0,)), ((1e-170, 1e-170), (1.0, 1.0)),
+])
+def test_states_whose_squares_leave_the_float_range_are_analysed(amplitudes, unit):
+    """A norm taken as a sum of squares gave 1e200 a trace-0 density
+    matrix (eigenvalues 0, 0, 0) and took 1e-200 for the zero state."""
+    got = entanglement_exact(TruncatedState(*amplitudes))
+    assert got == entanglement_exact(TruncatedState(*unit))
+    assert sum(got.eigenvalues) == pytest.approx(1.0)
+
+
+def result_bits(result):
+    return np.array([*result.eigenvalues, result.entropy, result.triple_product]).tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=15)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=12, max_size=12)
+       .filter(any))
+def test_power_of_two_multiples_give_the_same_bits(parts):
+    """2^k psi, for every k that scales the state psi (real and imaginary
+    parts ``parts``) exactly, finite and without losing a bit to underflow,
+    has psi's eigenvalues, entropy and triple product, bit for bit."""
+    parts = np.array(parts)
+    want = result_bits(entanglement_exact(TruncatedState.from_array(parts.view(complex))))
+    top = 1024 - int(np.frexp(parts[parts != 0.0])[1].max())  # the largest k left finite
+    for k in range(top, -2100, -1):
+        scaled = np.ldexp(parts, k)
+        if not np.array_equal(np.ldexp(scaled, -k), parts):
+            break  # underflow took a bit, and takes more at every smaller k
+        got = entanglement_exact(TruncatedState.from_array(scaled.view(complex)))
+        assert result_bits(got) == want, k
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,17 @@ def test_objective_zero_duration_is_zero():
     assert objective(cv) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_objective_vanishes_without_a_warning_once_kappa_t_overflows():
+    """kappa T = 3e308 overflows the loss exponent to -inf, and its phase
+    to -inf + nan j: exp gives 0, so the objective, its gradient and the
+    optimum are 0, and nothing warns."""
+    cv = ControlVector(np.full(4, 0.5), np.full(4, 0.2), 3.0)
+    params = JunctionParams(kappa=1e308)
+    assert objective(cv, params=params) == 0.0
+    assert not np.any(objective_gradient(cv, params=params))
+    assert maximize(3.0, BOUNDS, 4, 1, params, max_iter=5).objective == 0.0
+
+
 def test_objective_matches_chained_propagation(rng):
     prep = symmetric_preparation(0.1)
     for _ in range(5):
